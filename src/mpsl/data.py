@@ -43,15 +43,6 @@ class Dataset:
         if self.labels.size and (self.labels.min() < 0 or self.labels.max() >= self.num_classes):
             raise ValueError("labels must be < num_classes")
 
-    def subset(self, indices) -> "Dataset":
-        return Dataset(
-            images=self.images[indices],
-            labels=self.labels[indices],
-            width=self.width,
-            height=self.height,
-            num_classes=self.num_classes,
-        )
-
 
 @dataclass
 class PerturbationSpec:

@@ -83,8 +83,8 @@ def run_gradcheck(
         trial_seed = seed + k
         net, x, label = random_trial_net(trial_seed, t_steps)
         tape, _counts = record_forward(net, x, label, t_steps)
-        got = backward(tape, surrogate_width_scale=surrogate_width_scale).as_dict()
-        want = reference_gradients(net, x, label, t_steps).as_dict()
+        got = backward(tape, surrogate_width_scale=surrogate_width_scale)
+        want = reference_gradients(net, x, label, t_steps)
         for name in got:
             err = group_error(got[name], want[name])
             if err > result.worst_err:

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .neuron import EpisodeState, LifConfig, fused_input, membrane_step, spike
+from .neuron import LifConfig, fused_input, membrane_step, spike
 from .numerics import kaiming_uniform_init, make_rng
 from .plasticity import MultiPathLayer, SbpParams, merge_weights
 
@@ -34,15 +34,6 @@ class Network:
     @property
     def num_classes(self) -> int:
         return self.layers[-1].fan_out
-
-    def sbp_params(self) -> SbpParams:
-        """Current feedback constants with the learned fraction factors."""
-        return SbpParams(
-            lambda_f=float(self.lambda_f),
-            lambda_p=float(self.lambda_p),
-            tau_w=self.sbp.tau_w,
-            delta_includes_decay=self.sbp.delta_includes_decay,
-        )
 
     def named_parameters(self) -> dict[str, np.ndarray]:
         """Gradient-updated parameters, keyed by checkpoint entry name."""
@@ -134,30 +125,3 @@ def forward_inference(
     penultimate_u = u[-2] if len(net.layers) >= 2 else u[-1]
     return counts, penultimate_u
 
-
-def record_episode(net: Network, x: np.ndarray, t_steps: int, merged: bool) -> EpisodeState:
-    """Frozen-weight forward that keeps every timestep's U, S and I traces."""
-    batch = x.shape[0]
-    lif = net.lif
-    merged_w = [merge_weights(layer) for layer in net.layers] if merged else None
-    u_prev = [np.zeros((batch, layer.fan_out)) for layer in net.layers]
-    s_prev = [np.zeros((batch, layer.fan_out)) for layer in net.layers]
-    episode = EpisodeState(u=[], s=[], i=[])
-    for _t in range(t_steps):
-        episode.u.append([])
-        episode.s.append([])
-        episode.i.append([])
-        s_in = x
-        for idx, layer in enumerate(net.layers):
-            if merged:
-                i_in = s_in @ merged_w[idx].T
-            else:
-                i_in = fused_input(layer, s_in)
-            u_new = membrane_step(u_prev[idx], s_prev[idx], i_in, lif)
-            s_new = spike(u_new, lif)
-            episode.i[-1].append(i_in)
-            episode.u[-1].append(u_new)
-            episode.s[-1].append(s_new)
-            u_prev[idx], s_prev[idx] = u_new, s_new
-            s_in = s_new
-    return episode

@@ -1,4 +1,4 @@
-"""LIF membrane dynamics, spiking, and the rectangular surrogate derivative.
+"""LIF membrane dynamics, spiking, and the fused three-pathway input.
 
 Functions accept a 1-D state vector or a 2-D [batch x units] array; the
 math is elementwise either way.
@@ -39,19 +39,6 @@ class LifConfig:
             raise ValueError(f"dt must be positive, got {self.dt}")
 
 
-@dataclass
-class EpisodeState:
-    """Per-timestep, per-layer traces of one simulation window.
-
-    u[t][l], s[t][l], i[t][l] hold the membrane potentials, binary spikes
-    and fused input currents of layer l (0-based) after timestep t+1.
-    """
-
-    u: list[list[np.ndarray]]
-    s: list[list[np.ndarray]]
-    i: list[list[np.ndarray]]
-
-
 def spike(u: np.ndarray, cfg: LifConfig) -> np.ndarray:
     """Binary spike train: 1.0 where U >= v_th, else 0.0."""
     return (u >= cfg.v_th).astype(np.float64)
@@ -66,11 +53,6 @@ def membrane_step(
             f"membrane_step: mismatched shapes {u_prev.shape}, {s_prev.shape}, {i_in.shape}"
         )
     return cfg.rho_m * (u_prev - s_prev * cfg.v_th) + i_in
-
-
-def surrogate_grad(u: np.ndarray, cfg: LifConfig) -> np.ndarray:
-    """Rectangular stand-in for dS/dU: (1/a) inside |U - v_th| < a/2, else 0."""
-    return (np.abs(u - cfg.v_th) < cfg.a / 2.0) / cfg.a
 
 
 def fused_input(layer, s_prev: np.ndarray):

@@ -1,8 +1,10 @@
-"""Dense linear algebra helpers and seeded RNG.
+"""Seeded RNG, weight initialization, and the feedback rule's normalization.
 
-Everything is float64. Matrices are row-major 2-D arrays, vectors 1-D.
-All other modules funnel their numeric work through these few operations
-so that the shape conventions stay auditable in one place.
+Everything is float64. The other modules do their array work in numpy
+directly; this module holds only what several of them share: the RNG
+constructor, the shape-error type, Kaiming init, and the simplex
+normalization (with its degenerate-sum convention) that the recorded
+window applies to the feedback rule's column totals.
 """
 
 from __future__ import annotations
@@ -23,41 +25,6 @@ def make_rng(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
 
 
-def as_matrix(a) -> np.ndarray:
-    m = np.asarray(a, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeMismatchError(f"expected a 2-D matrix, got ndim={m.ndim}")
-    return m
-
-
-def as_vector(x) -> np.ndarray:
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ShapeMismatchError(f"expected a 1-D vector, got ndim={v.ndim}")
-    return v
-
-
-def matvec(w: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """out[j] = sum_i w[j, i] * x[i]."""
-    w = as_matrix(w)
-    x = as_vector(x)
-    if w.shape[1] != x.shape[0]:
-        raise ShapeMismatchError(
-            f"matvec: matrix is {w.shape[0]}x{w.shape[1]} but vector has length {x.shape[0]}"
-        )
-    return w @ x
-
-
-def outer(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """out[j, i] = a[j] * b[i]."""
-    return np.outer(as_vector(a), as_vector(b))
-
-
-def colsum(a: np.ndarray) -> np.ndarray:
-    """Per-column totals: out[i] = sum_j a[j, i]."""
-    return as_matrix(a).sum(axis=0)
-
-
 def normalize_simplex(x: np.ndarray) -> tuple[np.ndarray, bool]:
     """Divide a vector by the sum of its entries.
 
@@ -65,7 +32,6 @@ def normalize_simplex(x: np.ndarray) -> tuple[np.ndarray, bool]:
     is undefined; the result is the all-zeros vector and degenerate=True so
     callers can treat it as a neutral (no-modulation) signal.
     """
-    x = as_vector(x)
     s = x.sum()
     if abs(s) < SIMPLEX_EPS:
         return np.zeros_like(x), True

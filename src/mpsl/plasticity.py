@@ -1,20 +1,24 @@
-"""Local, non-gradient weight updates and the deployment-time weight merge.
+"""Plasticity constants, the three-pathway layer, and the deployment-time merge.
 
 W2 follows a decaying Hebbian rule pairing presynaptic spikes with a
 sigmoid of the postsynaptic potential. W3 follows a local feedback rule:
 the next layer's Hebbian increment, column-summed and normalized, scales
 the rows of this layer's increment. Both matrices persist across batches;
 the exponential decay makes stale contributions vanish.
+
+The W2/W3 rules themselves live only in tape.record_forward, the window
+that training runs. reference_grad.py and tests/oracles.py restate them
+independently as the checks on that window.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import ShapeMismatchError, colsum, normalize_simplex
+from .numerics import ShapeMismatchError
 
 
 @dataclass
@@ -53,7 +57,6 @@ class MultiPathLayer:
     w1, w2, w3 all have shape [fan_out x fan_in]. lam holds the three
     fusion coefficients. eta (local learning rate) and beta (sliding
     threshold) are 0-d arrays so the optimizer can update them in place.
-    dw2_last caches the most recent Hebbian increment for the feedback rule.
     """
 
     w1: np.ndarray
@@ -62,7 +65,6 @@ class MultiPathLayer:
     lam: np.ndarray
     eta: np.ndarray
     beta: np.ndarray
-    dw2_last: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
         if not (self.w1.shape == self.w2.shape == self.w3.shape):
@@ -71,10 +73,6 @@ class MultiPathLayer:
             )
         if self.lam.shape != (3,):
             raise ShapeMismatchError(f"lam must have shape (3,), got {self.lam.shape}")
-        if self.dw2_last is None:
-            self.dw2_last = np.zeros_like(self.w2)
-        if self.dw2_last.shape != self.w2.shape:
-            raise ShapeMismatchError("dw2_last shape must match w2")
 
     @property
     def fan_in(self) -> int:
@@ -83,71 +81,6 @@ class MultiPathLayer:
     @property
     def fan_out(self) -> int:
         return self.w1.shape[0]
-
-
-def sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-def hebbian_update(
-    layer: MultiPathLayer,
-    s_prev: np.ndarray,
-    u_post: np.ndarray,
-    params: SbpParams,
-    dt: float,
-) -> None:
-    """One Hebbian step on layer.w2, refreshing layer.dw2_last.
-
-    w2[j, i] <- w2[j, i] * e^(-dt/tau_w) + eta * s_prev[i] * (sigmoid(u_post[j]) + beta)
-    """
-    if s_prev.shape != (layer.fan_in,):
-        raise ShapeMismatchError(
-            f"hebbian_update: s_prev has length {s_prev.shape}, fan_in is {layer.fan_in}"
-        )
-    if u_post.shape != (layer.fan_out,):
-        raise ShapeMismatchError(
-            f"hebbian_update: u_post has length {u_post.shape}, fan_out is {layer.fan_out}"
-        )
-    old = layer.w2
-    increment = float(layer.eta) * np.outer(sigmoid(u_post) + float(layer.beta), s_prev)
-    new = old * params.decay(dt) + increment
-    layer.dw2_last = new - old if params.delta_includes_decay else increment
-    layer.w2 = new
-
-
-def sbp_modulation(
-    dw2_next: np.ndarray | None, params: SbpParams, fan_out: int
-) -> np.ndarray:
-    """Diagonal of the feedback modulation for a layer with `fan_out` units.
-
-    diag = lambda_f * (1 + lambda_p * normalize_simplex(colsum(dw2_next))).
-    Without an upstream increment (top layer) or under a degenerate
-    normalization the modulation reduces to lambda_f * ones.
-    """
-    if dw2_next is None:
-        return np.full(fan_out, params.lambda_f)
-    totals = colsum(dw2_next)
-    if totals.shape != (fan_out,):
-        raise ShapeMismatchError(
-            f"sbp_modulation: column totals have length {totals.shape[0]}, expected {fan_out}"
-        )
-    normalized, _degenerate = normalize_simplex(totals)
-    return params.lambda_f * (1.0 + params.lambda_p * normalized)
-
-
-def sbp_update(
-    layer: MultiPathLayer,
-    dw2_next: np.ndarray | None,
-    params: SbpParams,
-    dt: float,
-) -> None:
-    """One feedback step on layer.w3.
-
-    w3 <- w3 * e^(-dt/tau_w) + diag_scale(modulation, dw2_last), where row j
-    of this layer's Hebbian increment is multiplied by modulation[j].
-    """
-    diag = sbp_modulation(dw2_next, params, layer.fan_out)
-    layer.w3 = layer.w3 * params.decay(dt) + diag[:, None] * layer.dw2_last
 
 
 def merge_weights(layer: MultiPathLayer) -> np.ndarray:

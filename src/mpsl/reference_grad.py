@@ -22,7 +22,6 @@ import math
 import numpy as np
 
 from .network import Network
-from .tape import GradientSet, LayerGrads
 
 _EPS_SUM = 1e-8
 
@@ -153,28 +152,23 @@ def _window_loss_tangent(net: Network, x, label, t_steps, coord, spike_identity)
 
 def reference_gradients(
     net: Network, x, label: int, t_steps: int, *, spike_identity: bool = False
-) -> GradientSet:
-    """Loss gradients for every learnable, each from its own tangent pass."""
+) -> dict[str, np.ndarray]:
+    """Loss gradients for every learnable, each from its own tangent pass,
+    keyed like Network.named_parameters()."""
 
     def d(coord) -> float:
         return _window_loss_tangent(net, x, label, t_steps, coord, spike_identity)
 
-    layer_grads = []
+    grads: dict[str, np.ndarray] = {}
     for l, layer in enumerate(net.layers):
         w1g = np.zeros_like(layer.w1)
         for j in range(layer.fan_out):
             for i in range(layer.fan_in):
                 w1g[j, i] = d(("w1", l, j, i))
-        layer_grads.append(
-            LayerGrads(
-                w1=w1g,
-                lam=np.array([d(("lam", l, k)) for k in range(3)]),
-                eta=np.asarray(d(("eta", l))),
-                beta=np.asarray(d(("beta", l))),
-            )
-        )
-    return GradientSet(
-        layers=layer_grads,
-        lambda_f=np.asarray(d(("lambda_f",))),
-        lambda_p=np.asarray(d(("lambda_p",))),
-    )
+        grads[f"layers.{l}.w1"] = w1g
+        grads[f"layers.{l}.lam"] = np.array([d(("lam", l, k)) for k in range(3)])
+        grads[f"layers.{l}.eta"] = np.asarray(d(("eta", l)))
+        grads[f"layers.{l}.beta"] = np.asarray(d(("beta", l)))
+    grads["lambda_f"] = np.asarray(d(("lambda_f",)))
+    grads["lambda_p"] = np.asarray(d(("lambda_p",)))
+    return grads

@@ -1,54 +1,28 @@
 """Reverse-mode tape over the T-step, L-layer training window.
 
-record_forward replays the full update schedule — per timestep: fused
+record_forward runs the full update schedule — per timestep: fused
 input, membrane update, spike, Hebbian step for layers 1..L, then feedback
-steps for layers L..1 — as a flat list of primitive nodes. backward walks
+steps for layers L..1 — as a flat list of primitive nodes. It is the one
+implementation of the W2/W3 rules that training runs. backward walks
 the list in reverse, substituting the rectangular surrogate for the spike
 derivative, and returns gradients for W1, the fusion coefficients, the
-local-rule learnables eta/beta and the global fraction factors.
+local-rule learnables eta/beta and the global fraction factors, keyed
+like Network.named_parameters().
 
 W2/W3 values entering the window are recorded as constants; gradients to
 eta, beta, lambda_f, lambda_p flow only through the dependence of
 later-timestep weights on updates recorded inside the window.
 
-A tape caches parameter arrays by reference: consume it (backward, replay)
+A tape caches parameter arrays by reference: consume it (backward)
 before mutating the network it was recorded from.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .network import Network
-from .numerics import ShapeMismatchError, SIMPLEX_EPS
-
-
-@dataclass
-class LayerGrads:
-    w1: np.ndarray
-    lam: np.ndarray
-    eta: np.ndarray
-    beta: np.ndarray
-
-
-@dataclass
-class GradientSet:
-    layers: list[LayerGrads]
-    lambda_f: np.ndarray
-    lambda_p: np.ndarray
-
-    def as_dict(self) -> dict[str, np.ndarray]:
-        out: dict[str, np.ndarray] = {}
-        for idx, lg in enumerate(self.layers):
-            out[f"layers.{idx}.w1"] = lg.w1
-            out[f"layers.{idx}.lam"] = lg.lam
-            out[f"layers.{idx}.eta"] = lg.eta
-            out[f"layers.{idx}.beta"] = lg.beta
-        out["lambda_f"] = self.lambda_f
-        out["lambda_p"] = self.lambda_p
-        return out
+from .numerics import SIMPLEX_EPS, ShapeMismatchError, normalize_simplex
 
 
 class TapeNode:
@@ -104,11 +78,7 @@ def _op_forward(op: str, vals: list[np.ndarray], aux) -> np.ndarray:
     if op == "colsum":
         return vals[0].sum(axis=0)
     if op == "simplex":
-        x = vals[0]
-        total = x.sum()
-        if abs(total) < SIMPLEX_EPS:
-            return np.zeros_like(x)
-        return x / total
+        return normalize_simplex(vals[0])[0]
     if op == "row_scale":
         d, m = vals
         return d[:, None] * m
@@ -183,7 +153,6 @@ class Tape:
         self.counts_node: TapeNode | None = None
         self.final_w2: list[TapeNode] = []
         self.final_w3: list[TapeNode] = []
-        self.last_dw2: list[TapeNode] = []
         self._memo: dict[tuple, TapeNode] = {}
 
     def _push(self, op, parents, value, aux=None, requires=None, tag="") -> TapeNode:
@@ -213,17 +182,6 @@ class Tape:
     @property
     def loss_value(self) -> float:
         return float(self.loss_node.value)
-
-    def replay(self) -> bool:
-        """Recompute every non-leaf node from its parents; True iff all
-        recorded values are reproduced bitwise."""
-        for node in self.nodes:
-            if node.op in ("leaf", "const"):
-                continue
-            redone = _op_forward(node.op, [p.value for p in node.parents], node.aux)
-            if not np.array_equal(redone, node.value):
-                return False
-        return True
 
 
 def record_forward(
@@ -350,7 +308,6 @@ def record_forward(
     )
     tape.final_w2 = list(w2_cur)
     tape.final_w3 = list(w3_cur)
-    tape.last_dw2 = list(dw2)
     return tape, counts.value
 
 
@@ -387,8 +344,9 @@ def backward(
     *,
     seed: TapeNode | None = None,
     surrogate_width_scale: float = 1.0,
-) -> GradientSet:
-    """Gradients of every learnable parameter recorded on the tape.
+) -> dict[str, np.ndarray]:
+    """Gradients of every learnable parameter recorded on the tape, keyed
+    like Network.named_parameters().
 
     Parameters never touched downstream of the seed get zero gradients.
     surrogate_width_scale is a fault-injection hook for the gradcheck
@@ -400,19 +358,14 @@ def backward(
         node = tape.params[name]
         return np.zeros_like(node.value) if node.grad is None else node.grad
 
-    layer_grads = []
-    n_layers = len(tape.final_w2)
-    for idx in range(n_layers):
-        layer_grads.append(
-            LayerGrads(
-                w1=grad_of(f"layers.{idx}.w1"),
-                lam=np.array([float(grad_of(f"layers.{idx}.lam.{i}")) for i in range(3)]),
-                eta=grad_of(f"layers.{idx}.eta"),
-                beta=grad_of(f"layers.{idx}.beta"),
-            )
+    grads: dict[str, np.ndarray] = {}
+    for idx in range(len(tape.final_w2)):
+        grads[f"layers.{idx}.w1"] = grad_of(f"layers.{idx}.w1")
+        grads[f"layers.{idx}.lam"] = np.array(
+            [float(grad_of(f"layers.{idx}.lam.{i}")) for i in range(3)]
         )
-    return GradientSet(
-        layers=layer_grads,
-        lambda_f=grad_of("lambda_f"),
-        lambda_p=grad_of("lambda_p"),
-    )
+        grads[f"layers.{idx}.eta"] = grad_of(f"layers.{idx}.eta")
+        grads[f"layers.{idx}.beta"] = grad_of(f"layers.{idx}.beta")
+    grads["lambda_f"] = grad_of("lambda_f")
+    grads["lambda_p"] = grad_of("lambda_p")
+    return grads

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import Checkpoint, load_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .data import Dataset, load_idx, synthetic_blobs
 from .metrics import MetricsRow, format_lambdas
 from .network import Network, forward_inference, init_network
@@ -110,6 +110,12 @@ class TrainConfig:
             raise ConfigError("field 'frozen_source': required when lambda_mode is 'frozen-learned'")
         if len(self.lambda_init) != 3:
             raise ConfigError("field 'lambda_init': need exactly 3 coefficients")
+        if self.blobs.n_per_class < 1:
+            raise ConfigError("field 'blobs.n_per_class': must be >= 1")
+        if self.blobs.test_n_per_class < 1:
+            raise ConfigError("field 'blobs.test_n_per_class': must be >= 1")
+        if self.blobs.sigma < 0:
+            raise ConfigError("field 'blobs.sigma': must be >= 0")
         try:
             self.lif.validate()
         except ValueError as err:
@@ -332,7 +338,6 @@ def _apply_plasticity(net: Network, tape: Tape) -> None:
     for idx, layer in enumerate(net.layers):
         layer.w2 = tape.final_w2[idx].value.copy()
         layer.w3 = tape.final_w3[idx].value.copy()
-        layer.dw2_last = tape.last_dw2[idx].value.copy()
 
 
 def _state_norms(net: Network) -> dict[str, float]:
@@ -343,11 +348,7 @@ def _state_norms(net: Network) -> dict[str, float]:
     return norms
 
 
-def _check_finite(net: Network, loss: float, batch_index: int) -> None:
-    if not math.isfinite(loss):
-        raise NumericAbortError(
-            f"non-finite loss {loss} in batch {batch_index}", batch_index, _state_norms(net)
-        )
+def _check_finite(net: Network, batch_index: int) -> None:
     for name, arr in net.named_parameters().items():
         if not np.all(np.isfinite(arr)):
             raise NumericAbortError(
@@ -404,7 +405,7 @@ def train_epoch(
                 tape, counts = record_forward(net, x[item], int(y[item]), cfg.t_steps,
                                               events=events)
                 losses.append(tape.loss_value)
-                grad_dicts.append(backward(tape).as_dict())
+                grad_dicts.append(backward(tape))
                 _apply_plasticity(net, tape)
                 preds.append(int(np.argmax(counts[0])))
             loss = float(np.mean(losses))
@@ -413,7 +414,7 @@ def train_epoch(
         else:
             tape, counts = record_forward(net, x, y, cfg.t_steps, events=events)
             loss = tape.loss_value
-            grads = backward(tape).as_dict()
+            grads = backward(tape)
             _apply_plasticity(net, tape)
             correct = int(np.sum(np.argmax(counts, axis=1) == y))
         if not math.isfinite(loss):
@@ -422,7 +423,7 @@ def train_epoch(
             )
         opt.step(net.named_parameters(), grads, skip)
         _project_fraction_factors(net)
-        _check_finite(net, loss, batch_index)
+        _check_finite(net, batch_index)
         if events is not None:
             events.append(("grad-step",))
         batch_losses.append(loss)
@@ -476,7 +477,6 @@ def checkpoint_entries(net: Network, opt: Adam | None) -> dict[str, np.ndarray]:
         entries[f"layers.{idx}.lam"] = layer.lam
         entries[f"layers.{idx}.eta"] = layer.eta
         entries[f"layers.{idx}.beta"] = layer.beta
-        entries[f"layers.{idx}.dw2_last"] = layer.dw2_last
     entries["lambda_f"] = net.lambda_f
     entries["lambda_p"] = net.lambda_p
     if opt is not None:
@@ -504,24 +504,31 @@ def network_from_config(cfg: TrainConfig) -> Network:
     return net
 
 
+def _entry(ckpt: Checkpoint, name: str, shape: tuple | None = None) -> np.ndarray:
+    if name not in ckpt.entries:
+        raise CheckpointError(f"checkpoint lacks entry {name!r}")
+    arr = ckpt.entries[name]
+    if shape is not None and arr.shape != shape:
+        raise CheckpointError(f"checkpoint entry {name!r} has shape {arr.shape}, expected {shape}")
+    return arr.copy()
+
+
 def restore_network(cfg: TrainConfig, ckpt: Checkpoint) -> Network:
+    """Entries are looked up by name. Others are ignored, such as the cached
+    last Hebbian increment per layer that earlier files carry."""
     net = init_network(cfg.layer_sizes, cfg.seed, cfg.lif, cfg.sbp)
     for idx, layer in enumerate(net.layers):
-        layer.w1 = ckpt.entries[f"layers.{idx}.w1"].copy()
-        layer.w2 = ckpt.entries[f"layers.{idx}.w2"].copy()
-        layer.w3 = ckpt.entries[f"layers.{idx}.w3"].copy()
-        layer.lam = ckpt.entries[f"layers.{idx}.lam"].copy()
-        layer.eta = ckpt.entries[f"layers.{idx}.eta"].copy()
-        layer.beta = ckpt.entries[f"layers.{idx}.beta"].copy()
-        layer.dw2_last = ckpt.entries[f"layers.{idx}.dw2_last"].copy()
-    net.lambda_f = ckpt.entries["lambda_f"].copy()
-    net.lambda_p = ckpt.entries["lambda_p"].copy()
+        for name in ("w1", "w2", "w3", "lam", "eta", "beta"):
+            shape = getattr(layer, name).shape
+            setattr(layer, name, _entry(ckpt, f"layers.{idx}.{name}", shape))
+    net.lambda_f = _entry(ckpt, "lambda_f", ())
+    net.lambda_p = _entry(ckpt, "lambda_p", ())
     return net
 
 
 def restore_adam(cfg: TrainConfig, ckpt: Checkpoint) -> Adam:
     opt = Adam(cfg.lr)
-    opt.step_count = int(ckpt.entries["adam.step"][()])
+    opt.step_count = int(_entry(ckpt, "adam.step")[()])
     for name, arr in ckpt.entries.items():
         if name.startswith("adam.m."):
             opt.m[name[len("adam.m."):]] = arr.copy()

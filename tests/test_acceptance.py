@@ -11,20 +11,21 @@ import json
 import math
 import os
 import time
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from oracles import hebbian_oracle, sbp_oracle
+from oracles import window_oracle
 
 from mpsl.cli import main
-from mpsl.data import synthetic_blobs
+from mpsl.data import Dataset, synthetic_blobs
 from mpsl.metrics import read_metrics, strip_wall_clock
 from mpsl.network import forward_inference, init_network
 from mpsl.neuron import LifConfig
 from mpsl.numerics import make_rng
-from mpsl.plasticity import SbpParams, hebbian_update, sbp_update
+from mpsl.plasticity import SbpParams
 from mpsl.trainer import (
     Adam,
     TrainConfig,
@@ -124,55 +125,95 @@ def fallback_model(tmp_path_factory):
     return {"out": out, "checkpoint": out / "model.ckpt"}
 
 
-# --- criterion 1: plasticity rules match brute-force oracles ----------------
+# --- criterion 1: the training window's plasticity matches the oracle ---------
+
+
+def _window_start(net):
+    """The plain-list state a training window starts from."""
+    return {
+        "layers": [{"w1": layer.w1.tolist(), "w2": layer.w2.tolist(), "w3": layer.w3.tolist(),
+                    "lam": layer.lam.tolist(), "eta": float(layer.eta),
+                    "beta": float(layer.beta)} for layer in net.layers],
+        "lif": {"v_th": net.lif.v_th, "rho_m": net.lif.rho_m, "dt": net.lif.dt},
+        "lambda_f": float(net.lambda_f), "lambda_p": float(net.lambda_p),
+        "tau_w": net.sbp.tau_w,
+    }
+
+
+def _oracle_windows(start, batches, t_steps, includes_decay, coverage=None):
+    """W2/W3 after running the windows of `batches` in turn, each window
+    continuing the previous one's W2/W3 (the sequential schedule)."""
+    layers = start["layers"]
+    for xs in batches:
+        w2, w3 = window_oracle(layers, xs, t_steps, start["lif"], start["lambda_f"],
+                               start["lambda_p"], start["tau_w"], includes_decay, coverage)
+        layers = [dict(layer, w2=a, w3=b) for layer, a, b in zip(layers, w2, w3)]
+    return layers
+
+
+def _max_error(net, layers):
+    """Largest |window - oracle| over every W2/W3 entry; inf if any is NaN."""
+    diffs = np.array([np.abs(getattr(layer, name) - np.array(ref[name])).max()
+                      for layer, ref in zip(net.layers, layers) for name in ("w2", "w3")])
+    return math.inf if np.isnan(diffs).any() else float(diffs.max())
 
 
 def test_criterion_1_plasticity_oracle_equality():
-    from mpsl.plasticity import MultiPathLayer
-
     rng = make_rng(101)
     t0 = time.perf_counter()
-    worst = 0.0
+    worst = flipped_worst = 0.0
+    coverage = Counter()
     for trial in range(100):
-        fan_in = int(rng.integers(1, 8))
-        fan_out = int(rng.integers(1, 8))
-        fan_up = int(rng.integers(1, 8))
-        layer = MultiPathLayer(
-            w1=rng.normal(size=(fan_out, fan_in)),
-            w2=rng.normal(size=(fan_out, fan_in)),
-            w3=rng.normal(size=(fan_out, fan_in)),
-            lam=rng.uniform(0.1, 0.9, size=3),
-            eta=np.asarray(rng.uniform(0.001, 0.1)),
-            beta=np.asarray(rng.uniform(-0.6, 0.6)),
-        )
-        params = SbpParams(
-            lambda_f=float(rng.uniform(0.1, 1.0)),
-            lambda_p=float(rng.uniform(0.1, 1.0)),
-            tau_w=float(rng.uniform(5.0, 200.0)),
-        )
-        s_prev = (rng.uniform(size=fan_in) < 0.5).astype(np.float64)
-        u_post = rng.normal(size=fan_out)
-        w2_old = layer.w2.copy()
-        hebbian_update(layer, s_prev, u_post, params, dt=1.0)
-        expected_w2 = np.array(hebbian_oracle(
-            w2_old.tolist(), s_prev.tolist(), u_post.tolist(),
-            float(layer.eta), float(layer.beta), params.tau_w, 1.0,
-        ))
-        worst = max(worst, float(np.abs(layer.w2 - expected_w2).max()))
+        sizes = [int(v) for v in rng.integers(1, 8, size=int(rng.integers(3, 5)))]
+        t_steps = int(rng.integers(1, 5))
+        batch = int(rng.integers(1, 5))
+        includes_decay = bool(rng.integers(2))
+        sequential = bool(rng.integers(2))
+        sbp = SbpParams(tau_w=float(rng.uniform(5.0, 200.0)),
+                        delta_includes_decay=includes_decay)
+        lif = LifConfig(v_th=0.3, rho_m=float(rng.uniform(0.2, 1.0)))
+        net = init_network(sizes, seed=trial, lif=lif, sbp=sbp)
+        # zeroed local pathways let whole column totals vanish exactly
+        zero_plastic = rng.uniform() < 0.3
+        for layer in net.layers:
+            if zero_plastic:
+                layer.w2 = np.zeros_like(layer.w2)
+                layer.w3 = np.zeros_like(layer.w3)
+            layer.lam = rng.uniform(0.1, 0.9, size=3)
+            layer.eta = np.asarray(rng.uniform(0.001, 0.1))
+            layer.beta = np.asarray(rng.uniform(-0.6, 0.6))
+        net.lambda_f = np.asarray(rng.uniform(0.1, 1.0))
+        net.lambda_p = np.asarray(rng.uniform(0.1, 1.0))
+        x = (rng.uniform(size=(batch, sizes[0])) < 0.6).astype(np.float64)
+        labels = rng.integers(sizes[-1], size=batch)
+        data = Dataset(x, labels, sizes[0], 1, sizes[-1])
+        cfg = TrainConfig(layer_sizes=sizes, t_steps=t_steps, batch_size=batch,
+                          sequential_plasticity=sequential)
 
-        dw2_next = None if trial % 7 == 0 else rng.normal(size=(fan_up, fan_out))
-        w3_old = layer.w3.copy()
-        sbp_update(layer, dw2_next, params, dt=1.0)
-        expected_w3 = np.array(sbp_oracle(
-            w3_old.tolist(), layer.dw2_last.tolist(),
-            None if dw2_next is None else dw2_next.tolist(),
-            params.lambda_f, params.lambda_p, params.tau_w, 1.0,
-        ))
-        worst = max(worst, float(np.abs(layer.w3 - expected_w3).max()))
+        start = _window_start(net)
+        order = make_rng(trial).permutation(batch)
+        batches = [[x[i].tolist()] for i in order] if sequential else [x[order].tolist()]
+        train_epoch(net, data, cfg, Adam(cfg.lr), make_rng(trial))
+
+        trial_coverage = Counter()
+        expected = _oracle_windows(start, batches, t_steps, includes_decay, trial_coverage)
+        worst = max(worst, _max_error(net, expected))
+        flipped = _oracle_windows(start, batches, t_steps, not includes_decay)
+        flipped_worst = max(flipped_worst, _max_error(net, flipped))
+        coverage.update({k: 1 for k in trial_coverage})
+        coverage["includes decay" if includes_decay else "pure increment"] += 1
+        coverage["batch > 1"] += batch > 1
+        coverage["sequential"] += sequential
     seconds = time.perf_counter() - t0
     assert worst <= 1e-12
+    assert flipped_worst > 1e-12, "oracle with the decay mode flipped still agrees"
+    for case in ("top layer", "degenerate normalization", "includes decay",
+                 "pure increment", "batch > 1", "sequential"):
+        assert coverage[case] >= 1, f"no trial covered: {case}"
     assert seconds < 5.0
-    _report(1, f"100 random layers, max abs error {worst:.2e} in {seconds:.2f}s")
+    _report(1, f"100 train_epoch windows, max abs error {worst:.2e} "
+               f"(flipped decay mode: {flipped_worst:.2e}) in {seconds:.2f}s; "
+               f"trials per case {dict(sorted(coverage.items()))}")
 
 
 # --- criterion 2: gradients match the independent oracle --------------------
@@ -336,8 +377,6 @@ def test_criterion_8_byte_identical_reruns(tmp_path):
 
 
 def test_criterion_9_first_batch_loss_equals_log_classes():
-    from mpsl.data import Dataset
-
     cfg = TrainConfig()
     cfg.layer_sizes = [20, 16, 10]
     cfg.batch_size = 8

@@ -121,7 +121,28 @@ def test_network_and_optimizer_state_round_trip(tmp_path):
     for l1, l2 in zip(net.layers, net2.layers):
         npt.assert_array_equal(l1.w2, l2.w2)
         npt.assert_array_equal(l1.w3, l2.w3)
-        npt.assert_array_equal(l1.dw2_last, l2.dw2_last)
+
+
+def test_legacy_checkpoint_with_cached_increments_restores(tmp_path):
+    # files written while layers cached their last Hebbian increment carry one
+    # more entry per layer; restoring looks entries up by name and ignores it
+    cfg = TrainConfig()
+    cfg.layer_sizes = [32, 16, 4]
+    cfg.blobs.dim = 32
+    cfg.validate()
+    net = network_from_config(cfg)
+    entries = dict(checkpoint_entries(net, None))
+    rng = make_rng(2)
+    for idx, layer in enumerate(net.layers):
+        entries[f"layers.{idx}.dw2_last"] = rng.normal(size=layer.w2.shape)
+    path = tmp_path / "legacy.ckpt"
+    save_checkpoint(path, cfg.canonical_json(), 1, make_rng(1).bit_generator.state, entries)
+    restored = restore_network(cfg, load_checkpoint(path))
+    for name, arr in net.named_parameters().items():
+        npt.assert_array_equal(restored.named_parameters()[name], arr)
+    for l1, l2 in zip(net.layers, restored.layers):
+        npt.assert_array_equal(l1.w2, l2.w2)
+        npt.assert_array_equal(l1.w3, l2.w3)
 
 
 def test_saved_files_are_byte_identical_across_runs(tmp_path):

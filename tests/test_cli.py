@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from mpsl.checkpoint import load_checkpoint, save_checkpoint
 from mpsl.cli import main
 from mpsl.metrics import read_metrics, strip_wall_clock
 
@@ -60,6 +61,12 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "learning_rate" in capsys.readouterr().err
 
 
+def test_empty_blobs_split_exits_2(tmp_path, capsys):
+    config = write_config(tmp_path, blobs={"n_per_class": 0})
+    assert main(["train", "--config", str(config)]) == 2
+    assert "blobs.n_per_class" in capsys.readouterr().err
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
@@ -87,6 +94,24 @@ def test_eval_merged_and_unmerged(trained, capsys):
     acc_merged = float(merged_line.split("accuracy")[1].split(",")[0])
     acc_unmerged = float(unmerged_line.split("accuracy")[1].split(",")[0])
     assert acc_merged == acc_unmerged
+
+
+def test_eval_checkpoint_lacking_an_entry_exits_2(trained, tmp_path, capsys):
+    ckpt = load_checkpoint(trained["checkpoint"])
+    del ckpt.entries["lambda_p"]
+    path = tmp_path / "partial.ckpt"
+    save_checkpoint(path, ckpt.config_json, ckpt.epoch, ckpt.rng_state, ckpt.entries)
+    assert main(["eval", "--checkpoint", str(path)]) == 2
+    assert "lambda_p" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_with_a_misshaped_entry_exits_2(trained, tmp_path, capsys):
+    ckpt = load_checkpoint(trained["checkpoint"])
+    ckpt.entries["layers.0.w2"] = np.zeros((3, 5))
+    path = tmp_path / "misshaped.ckpt"
+    save_checkpoint(path, ckpt.config_json, ckpt.epoch, ckpt.rng_state, ckpt.entries)
+    assert main(["eval", "--checkpoint", str(path)]) == 2
+    assert "layers.0.w2" in capsys.readouterr().err
 
 
 def test_eval_missing_checkpoint_exits_2(tmp_path, capsys):

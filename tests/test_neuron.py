@@ -2,9 +2,11 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mpsl.neuron import LifConfig, fused_input, membrane_step, spike, surrogate_grad
+from mpsl.network import init_network
+from mpsl.neuron import LifConfig, fused_input, membrane_step, spike
 from mpsl.numerics import make_rng
-from mpsl.plasticity import MultiPathLayer
+from mpsl.plasticity import MultiPathLayer, SbpParams
+from mpsl.tape import backward, record_forward
 
 
 def make_layer(w1, w2, w3, lam):
@@ -65,20 +67,39 @@ def test_soft_reset_conservation_exact():
     npt.assert_array_equal(out, cfg.rho_m * (u - cfg.v_th))
 
 
-def test_surrogate_grad_window():
-    cfg = LifConfig(v_th=0.3, a=1.0)
-    npt.assert_array_equal(surrogate_grad(np.array([0.79]), cfg), [1.0])
-    npt.assert_array_equal(surrogate_grad(np.array([0.81]), cfg), [0.0])
-    cfg2 = LifConfig(v_th=0.3, a=2.0)
-    npt.assert_array_equal(surrogate_grad(np.array([0.3]), cfg2), [0.5])
+def surrogate_check(u0, a=1.0):
+    """(dL/dW1[0, 0], its value with the surrogate at 1) for a 1 -> 2 layer,
+    T = 1, label 1, whose unit 0 lands at potential u0 and unit 1 at 0.
+
+    The spike derivative is the only factor between the two, so their ratio
+    is the rectangular surrogate at u0."""
+    net = init_network([1, 2], seed=0, lif=LifConfig(v_th=0.3, a=a), sbp=SbpParams(),
+                       zero_weights=True)
+    net.layers[0].w1 = np.array([[u0], [0.0]])
+    net.layers[0].lam = np.array([1.0, 0.0, 0.0])
+    tape, counts = record_forward(net, np.array([1.0]), 1, t_steps=1)
+    assert tape.nodes[-1].tag == "loss"
+    npt.assert_array_equal(next(n.value for n in tape.nodes if n.tag == "u[1,1]"), [[u0, 0.0]])
+    p = np.exp(counts[0]) / np.exp(counts[0]).sum()
+    return float(backward(tape)["layers.0.w1"][0, 0]), float(p[0])
+
+
+def test_surrogate_window_boundary():
+    grad, full = surrogate_check(0.79)
+    assert full > 0.0 and grad == pytest.approx(full, rel=1e-12)
+    grad, _ = surrogate_check(0.81)
+    assert grad == 0.0
+    grad, full = surrogate_check(0.3, a=2.0)
+    assert grad == pytest.approx(0.5 * full, rel=1e-12)
 
 
 def test_surrogate_support_is_open_interval():
-    cfg = LifConfig(v_th=0.3, a=1.0)
     # exactly on the half-width boundary: outside the support
-    npt.assert_array_equal(surrogate_grad(np.array([0.8, -0.2]), cfg), [0.0, 0.0])
-    just_inside = np.array([0.8 - 1e-12, -0.2 + 1e-12])
-    npt.assert_array_equal(surrogate_grad(just_inside, cfg), [1.0, 1.0])
+    for u0 in (0.8, -0.2):
+        assert surrogate_check(u0)[0] == 0.0
+    for u0 in (0.8 - 1e-12, -0.2 + 1e-12):
+        grad, full = surrogate_check(u0)
+        assert grad == pytest.approx(full, rel=1e-12)
 
 
 def test_fused_input_single_active_path():
@@ -123,18 +144,16 @@ def test_spiking_stays_binary_over_driven_sequences():
         npt.assert_array_equal(s == 1.0, u >= cfg.v_th)
 
 
-def test_record_episode_traces_respect_invariants():
-    from mpsl.network import init_network, record_episode
-    from mpsl.plasticity import SbpParams
-
+def test_window_traces_respect_invariants():
     rng = make_rng(14)
     net = init_network([6, 5, 3], seed=3, lif=LifConfig(), sbp=SbpParams())
     x = rng.uniform(size=(4, 6))
-    episode = record_episode(net, x, t_steps=5, merged=False)
-    assert len(episode.u) == 5 and len(episode.u[0]) == 2
-    for t in range(5):
-        for l in range(2):
-            s, u, i = episode.s[t][l], episode.u[t][l], episode.i[t][l]
-            assert set(np.unique(s)) <= {0.0, 1.0}
-            npt.assert_array_equal(s == 1.0, u >= net.lif.v_th)
-            assert i.shape == u.shape
+    tape, _ = record_forward(net, x, np.zeros(4, dtype=np.int64), t_steps=5)
+    nodes = {n.tag: n for n in tape.nodes if n.tag}
+    for t in range(1, 6):
+        for l, fan_out in ((1, 5), (2, 3)):
+            u, s = nodes[f"u[{t},{l}]"], nodes[f"s[{t},{l}]"]
+            assert u.value.shape == s.value.shape == (4, fan_out)
+            assert set(np.unique(s.value)) <= {0.0, 1.0}
+            npt.assert_array_equal(s.value == 1.0, u.value >= net.lif.v_th)
+            assert u.parents[2].value.shape == u.value.shape  # the fused input

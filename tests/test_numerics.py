@@ -2,44 +2,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mpsl.numerics import (
-    ShapeMismatchError,
-    colsum,
-    kaiming_uniform_init,
-    make_rng,
-    matvec,
-    normalize_simplex,
-    outer,
-)
-
-
-def test_matvec_identity():
-    npt.assert_array_equal(matvec(np.eye(2), np.array([3.0, 4.0])), [3.0, 4.0])
-
-
-def test_matvec_hand_evaluated():
-    npt.assert_array_equal(matvec(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([1.0, 1.0])), [3.0, 7.0])
-
-
-def test_matvec_zero_matrix():
-    npt.assert_array_equal(matvec(np.array([[0.0, 0.0]]), np.array([5.0, 5.0])), [0.0])
-
-
-def test_matvec_dimension_mismatch_is_fatal():
-    with pytest.raises(ShapeMismatchError):
-        matvec(np.zeros((2, 3)), np.zeros(2))
-
-
-def test_outer_hand_evaluated():
-    npt.assert_array_equal(outer(np.array([1.0, 2.0]), np.array([3.0])), [[3.0], [6.0]])
-    npt.assert_array_equal(outer(np.zeros(2), np.ones(2)), np.zeros((2, 2)))
-    npt.assert_array_equal(outer(np.ones(1), np.ones(1)), [[1.0]])
-
-
-def test_colsum():
-    npt.assert_array_equal(colsum(np.array([[1.0, 1.0], [3.0, 1.0]])), [4.0, 2.0])
-    npt.assert_array_equal(colsum(np.array([[0.0, 0.0]])), [0.0, 0.0])
-    npt.assert_array_equal(colsum(np.array([[5.0]])), [5.0])
+from mpsl.numerics import kaiming_uniform_init, make_rng, normalize_simplex
 
 
 def test_normalize_simplex_proportional():
@@ -88,27 +51,6 @@ def test_kaiming_empirical_mean():
 def test_kaiming_rejects_bad_fan_in():
     with pytest.raises(ValueError):
         kaiming_uniform_init(make_rng(0), 0, 2, 2)
-
-
-def test_matvec_distributes_over_matrix_addition():
-    rng = make_rng(11)
-    for _ in range(50):
-        m, n = rng.integers(1, 9, size=2)
-        a = rng.normal(size=(m, n))
-        b = rng.normal(size=(m, n))
-        x = rng.normal(size=n)
-        lhs = matvec(a + b, x)
-        rhs = matvec(a, x) + matvec(b, x)
-        npt.assert_allclose(lhs, rhs, rtol=1e-6, atol=1e-12)
-
-
-def test_colsum_of_outer_collapses():
-    rng = make_rng(12)
-    for _ in range(50):
-        m, n = rng.integers(1, 9, size=2)
-        a = rng.normal(size=m)
-        b = rng.normal(size=n)
-        npt.assert_allclose(colsum(outer(a, b)), a.sum() * b, rtol=0, atol=1e-12)
 
 
 def test_rng_reproducibility_long_stream():

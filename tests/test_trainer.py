@@ -68,6 +68,12 @@ def test_config_field_level_messages():
         TrainConfig.from_dict({"lambda_mode": "frozen-learned"})
     with pytest.raises(ConfigError, match="field 'epochs': expected an integer"):
         TrainConfig.from_dict({"epochs": 2.5})
+    with pytest.raises(ConfigError, match="field 'blobs.n_per_class'"):
+        TrainConfig.from_dict({"blobs": {"n_per_class": 0}})
+    with pytest.raises(ConfigError, match="field 'blobs.test_n_per_class'"):
+        TrainConfig.from_dict({"blobs": {"test_n_per_class": 0}})
+    with pytest.raises(ConfigError, match="field 'blobs.sigma'"):
+        TrainConfig.from_dict({"blobs": {"sigma": -1}})
 
 
 def test_config_accepts_reference_mnist_settings_verbatim():
@@ -262,7 +268,8 @@ def test_untrained_network_sits_at_chance_level():
 
 def test_single_sample_overfit():
     ds = synthetic_blobs(make_rng(3), 5, 4, 16, 0.05)
-    one = ds.subset([7])
+    one = Dataset(images=ds.images[7:8], labels=ds.labels[7:8], width=ds.width,
+                  height=ds.height, num_classes=ds.num_classes)
     cfg = TrainConfig()
     cfg.layer_sizes = [16, 32, 4]
     cfg.batch_size = 1
