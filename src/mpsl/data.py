@@ -91,7 +91,7 @@ def load_idx_images(path) -> tuple[np.ndarray, int, int]:
             raise IdxFormatError(f"{path} is not an IDX file (image magic {magic:#010x})")
         payload = _read_exact(f, count * rows * cols, path)
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)
-    return pixels.astype(np.float64) / 255.0, rows, cols
+    return pixels / 255.0, rows, cols  # float64, in one pass
 
 
 def load_idx_labels(path) -> np.ndarray:
@@ -112,9 +112,12 @@ def load_idx(images_path, labels_path) -> Dataset:
         raise IdxFormatError(
             f"corrupt pair: {len(images)} images vs {len(labels)} labels"
         )
-    ds = Dataset(images=images, labels=labels, width=cols, height=rows, num_classes=10)
-    ds.validate()
-    return ds
+    if not len(labels):
+        raise IdxFormatError(f"empty split: {images_path} holds no images")
+    # uint8 / 255 pixels lie in [0, 1]; the labels are what can be out of range
+    if labels.max() >= 10:
+        raise IdxFormatError(f"{labels_path} holds label {labels.max()}, not a class 0-9")
+    return Dataset(images=images, labels=labels, width=cols, height=rows, num_classes=10)
 
 
 def synthetic_blobs(

@@ -1,4 +1,5 @@
-"""Backward-vs-oracle agreement harness over random small networks."""
+"""Agreement of window.backward with the forward-tangent oracle
+(reference_grad.py) over random small networks."""
 
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from .neuron import LifConfig
 from .numerics import make_rng
 from .plasticity import SbpParams
 from .reference_grad import reference_gradients
-from .tape import backward, record_forward
+from .window import backward, record_forward
 
 REL_TOL = 1e-6
 # gradients whose magnitude never exceeds this are compared absolutely
@@ -82,8 +83,8 @@ def run_gradcheck(
     for k in range(trials):
         trial_seed = seed + k
         net, x, label = random_trial_net(trial_seed, t_steps)
-        tape, _counts = record_forward(net, x, label, t_steps)
-        got = backward(tape, surrogate_width_scale=surrogate_width_scale)
+        window, _counts = record_forward(net, x, label, t_steps)
+        got = backward(window, surrogate_width_scale=surrogate_width_scale)
         want = reference_gradients(net, x, label, t_steps)
         for name in got:
             err = group_error(got[name], want[name])

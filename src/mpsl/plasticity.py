@@ -6,7 +6,7 @@ the next layer's Hebbian increment, column-summed and normalized, scales
 the rows of this layer's increment. Both matrices persist across batches;
 the exponential decay makes stale contributions vanish.
 
-The W2/W3 rules themselves live only in tape.record_forward, the window
+The W2/W3 rules themselves live only in window.record_forward, the window
 that training runs. reference_grad.py and tests/oracles.py restate them
 independently as the checks on that window.
 """

@@ -1,12 +1,13 @@
 """Independent gradient oracle: forward tangent propagation, one pass per
 scalar parameter.
 
-This deliberately shares no code with the reverse-mode tape. It re-walks
-the whole training window for a single input, carrying (value, tangent)
-pairs, and applies the same conventions the tape uses at the two
-non-smooth points: the spike derivative is the rectangular window
-(1/a on |U - v_th| < a/2, strictly), and a normalization whose input sums
-to less than 1e-8 in magnitude is treated as the constant zero vector.
+This deliberately shares no code with the hand-written reverse in
+window.py. It re-walks the whole training window for a single input,
+carrying (value, tangent) pairs, and applies the same conventions that
+reverse uses at the two non-smooth points: the spike derivative is the
+rectangular window (1/a on |U - v_th| < a/2, strictly), and a
+normalization whose input sums to less than 1e-8 in magnitude is treated
+as the constant zero vector.
 
 Finite differences on the hard network would NOT validate the surrogate
 gradients (the true loss is piecewise constant), which is why the oracle

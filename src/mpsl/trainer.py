@@ -30,8 +30,7 @@ from .metrics import MetricsRow, format_lambdas
 from .network import Network, forward_inference, init_network
 from .neuron import LifConfig
 from .plasticity import SbpParams
-from .tape import Tape, backward, record_forward
-from .numerics import make_rng
+from .window import backward, record_forward, softmax_xent
 
 LAMBDA_MODES = ("fixed", "learnable", "frozen-learned")
 DATASETS = ("synthetic-blobs", "mnist", "fashion-mnist")
@@ -116,6 +115,13 @@ class TrainConfig:
             raise ConfigError("field 'blobs.test_n_per_class': must be >= 1")
         if self.blobs.sigma < 0:
             raise ConfigError("field 'blobs.sigma': must be >= 0")
+        if self.blobs.classes < 2:
+            raise ConfigError("field 'blobs.classes': need at least 2 classes")
+        if self.blobs.dim < self.blobs.classes:
+            raise ConfigError(
+                f"field 'blobs.dim': must be >= blobs.classes ({self.blobs.classes}), "
+                f"got {self.blobs.dim}"
+            )
         try:
             self.lif.validate()
         except ValueError as err:
@@ -328,16 +334,16 @@ class EpochMetrics:
     batch_losses: list[float] = field(default_factory=list)
 
 
-def _xent(counts: np.ndarray, labels: np.ndarray) -> float:
-    shifted = counts - counts.max(axis=1, keepdims=True)
-    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    return float(-logp[np.arange(len(labels)), labels].mean())
-
-
-def _apply_plasticity(net: Network, tape: Tape) -> None:
+def _train_window(net: Network, x: np.ndarray, labels, cfg: TrainConfig,
+                  events: list | None) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
+    """Record and reverse one window, then hand its final W2/W3 to the
+    network. Returns (loss, gradients, output spike counts)."""
+    window, counts = record_forward(net, x, labels, cfg.t_steps, events=events)
+    grads = backward(window)
     for idx, layer in enumerate(net.layers):
-        layer.w2 = tape.final_w2[idx].value.copy()
-        layer.w3 = tape.final_w3[idx].value.copy()
+        layer.w2 = window.final_w2[idx]
+        layer.w3 = window.final_w3[idx]
+    return window.loss_value, grads, counts
 
 
 def _state_norms(net: Network) -> dict[str, float]:
@@ -402,20 +408,16 @@ def train_epoch(
             losses = []
             preds = []
             for item in range(len(idx)):
-                tape, counts = record_forward(net, x[item], int(y[item]), cfg.t_steps,
-                                              events=events)
-                losses.append(tape.loss_value)
-                grad_dicts.append(backward(tape))
-                _apply_plasticity(net, tape)
+                item_loss, item_grads, counts = _train_window(net, x[item], int(y[item]),
+                                                              cfg, events)
+                losses.append(item_loss)
+                grad_dicts.append(item_grads)
                 preds.append(int(np.argmax(counts[0])))
             loss = float(np.mean(losses))
             grads = _mean_gradient_dicts(grad_dicts)
             correct = int(np.sum(np.asarray(preds) == y))
         else:
-            tape, counts = record_forward(net, x, y, cfg.t_steps, events=events)
-            loss = tape.loss_value
-            grads = backward(tape)
-            _apply_plasticity(net, tape)
+            loss, grads, counts = _train_window(net, x, y, cfg, events)
             correct = int(np.sum(np.argmax(counts, axis=1) == y))
         if not math.isfinite(loss):
             raise NumericAbortError(
@@ -449,7 +451,7 @@ def evaluate(
         y = data.labels[start : start + batch_size]
         counts, _ = forward_inference(net, x, t_steps, merged)
         correct += int(np.sum(np.argmax(counts, axis=1) == y))
-        total_loss += _xent(counts, y) * len(y)
+        total_loss += softmax_xent(counts, y)[0] * len(y)
     return correct / len(data), total_loss / len(data)
 
 

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -65,6 +66,19 @@ def test_empty_blobs_split_exits_2(tmp_path, capsys):
     config = write_config(tmp_path, blobs={"n_per_class": 0})
     assert main(["train", "--config", str(config)]) == 2
     assert "blobs.n_per_class" in capsys.readouterr().err
+
+
+def test_empty_idx_split_exits_2(tmp_path, capsys):
+    for split, n in (("train", 0), ("t10k", 2)):
+        (tmp_path / f"{split}-images-idx3-ubyte").write_bytes(
+            struct.pack(">IIII", 0x803, n, 28, 28) + bytes(n * 784))
+        (tmp_path / f"{split}-labels-idx1-ubyte").write_bytes(
+            struct.pack(">II", 0x801, n) + bytes(n))
+    images = tmp_path / "train-images-idx3-ubyte"
+    config = write_config(tmp_path, dataset="mnist", data_dir=str(tmp_path),
+                          layer_sizes=[784, 16, 10])
+    assert main(["train", "--config", str(config)]) == 2
+    assert str(images) in capsys.readouterr().err
 
 
 def test_malformed_json_exits_2(tmp_path, capsys):

@@ -66,6 +66,13 @@ def test_load_idx_rejects_count_mismatch(tmp_path):
         load_idx(img, lab)
 
 
+def test_load_idx_rejects_label_outside_the_classes(tmp_path):
+    pixels = np.zeros((2, 2, 2), dtype=np.uint8)
+    img, lab = write_idx_pair(tmp_path, pixels, [3, 10])
+    with pytest.raises(IdxFormatError, match=f"{lab}.*label 10"):
+        load_idx(img, lab)
+
+
 def test_load_idx_rejects_truncated_payload(tmp_path):
     pixels = np.zeros((3, 2, 2), dtype=np.uint8)
     img, lab = write_idx_pair(tmp_path, pixels, [0, 1, 2], truncate_images=5)

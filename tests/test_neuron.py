@@ -6,7 +6,7 @@ from mpsl.network import init_network
 from mpsl.neuron import LifConfig, fused_input, membrane_step, spike
 from mpsl.numerics import make_rng
 from mpsl.plasticity import MultiPathLayer, SbpParams
-from mpsl.tape import backward, record_forward
+from mpsl.window import backward, record_forward
 
 
 def make_layer(w1, w2, w3, lam):
@@ -77,11 +77,10 @@ def surrogate_check(u0, a=1.0):
                        zero_weights=True)
     net.layers[0].w1 = np.array([[u0], [0.0]])
     net.layers[0].lam = np.array([1.0, 0.0, 0.0])
-    tape, counts = record_forward(net, np.array([1.0]), 1, t_steps=1)
-    assert tape.nodes[-1].tag == "loss"
-    npt.assert_array_equal(next(n.value for n in tape.nodes if n.tag == "u[1,1]"), [[u0, 0.0]])
+    window, counts = record_forward(net, np.array([1.0]), 1, t_steps=1)
+    npt.assert_array_equal(window.u[0][0], [[u0, 0.0]])
     p = np.exp(counts[0]) / np.exp(counts[0]).sum()
-    return float(backward(tape)["layers.0.w1"][0, 0]), float(p[0])
+    return float(backward(window)["layers.0.w1"][0, 0]), float(p[0])
 
 
 def test_surrogate_window_boundary():
@@ -148,12 +147,10 @@ def test_window_traces_respect_invariants():
     rng = make_rng(14)
     net = init_network([6, 5, 3], seed=3, lif=LifConfig(), sbp=SbpParams())
     x = rng.uniform(size=(4, 6))
-    tape, _ = record_forward(net, x, np.zeros(4, dtype=np.int64), t_steps=5)
-    nodes = {n.tag: n for n in tape.nodes if n.tag}
-    for t in range(1, 6):
-        for l, fan_out in ((1, 5), (2, 3)):
-            u, s = nodes[f"u[{t},{l}]"], nodes[f"s[{t},{l}]"]
-            assert u.value.shape == s.value.shape == (4, fan_out)
-            assert set(np.unique(s.value)) <= {0.0, 1.0}
-            npt.assert_array_equal(s.value == 1.0, u.value >= net.lif.v_th)
-            assert u.parents[2].value.shape == u.value.shape  # the fused input
+    window, counts = record_forward(net, x, np.zeros(4, dtype=np.int64), t_steps=5)
+    for l, fan_out in ((0, 5), (1, 3)):
+        u, s = window.u[l], window.s[l]
+        assert u.shape == s.shape == (5, 4, fan_out)
+        assert set(np.unique(s)) <= {0.0, 1.0}
+        npt.assert_array_equal(s == 1.0, u >= net.lif.v_th)
+    npt.assert_array_equal(counts, window.s[1].sum(axis=0))

@@ -11,7 +11,7 @@ from mpsl.network import init_network
 from mpsl.neuron import LifConfig
 from mpsl.numerics import ShapeMismatchError, make_rng
 from mpsl.plasticity import MultiPathLayer, SbpParams, merge_weights
-from mpsl.tape import record_forward
+from mpsl.window import record_forward
 
 from oracles import hebbian_oracle, sbp_oracle
 
@@ -42,8 +42,8 @@ def window(net, x, t_steps=1):
     """Final (W2, W3) per layer after one recorded window on input x."""
     x = np.asarray(x, dtype=np.float64)
     labels = np.zeros(len(x) if x.ndim == 2 else 1, dtype=np.int64)
-    tape, _ = record_forward(net, x, labels, t_steps)
-    return [n.value for n in tape.final_w2], [n.value for n in tape.final_w3], tape
+    recorded, _ = record_forward(net, x, labels, t_steps)
+    return recorded.final_w2, recorded.final_w3, recorded
 
 
 # potentials whose sigmoid is exactly 0.6 / 0.4; only the first reaches v_th = 0.3
@@ -102,8 +102,8 @@ def test_hebbian_matches_bruteforce_oracle():
         layer.beta = np.array(float(rng.uniform(-0.5, 0.5)))
         w2_old = layer.w2.copy()
         s_prev = (rng.uniform(size=fan_in) < 0.5).astype(np.float64)
-        w2, _, tape = window(net, s_prev)
-        u_post = next(n.value[0] for n in tape.nodes if n.tag == "u[1,1]")
+        w2, _, recorded = window(net, s_prev)
+        u_post = recorded.u[0][0, 0]
         expected = hebbian_oracle(
             w2_old.tolist(), s_prev.tolist(), u_post.tolist(),
             float(layer.eta), float(layer.beta), 40.0, 1.0,
@@ -118,8 +118,8 @@ def test_hebbian_pure_increment_mode():
     layer = net.layers[0]
     w2_old, w3_old = layer.w2.copy(), layer.w3.copy()
     s_prev = np.array([1.0, 0.0, 1.0])
-    w2, w3, tape = window(net, s_prev)
-    u_post = next(n.value[0] for n in tape.nodes if n.tag == "u[1,1]")
+    w2, w3, recorded = window(net, s_prev)
+    u_post = recorded.u[0][0, 0]
     increment = float(layer.eta) * np.outer(1 / (1 + np.exp(-u_post)) + float(layer.beta), s_prev)
     decay = sbp.decay(1.0)
     npt.assert_allclose(w2[0], w2_old * decay + increment, rtol=0, atol=1e-15)

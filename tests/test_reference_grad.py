@@ -6,7 +6,7 @@ from mpsl.network import init_network
 from mpsl.neuron import LifConfig
 from mpsl.plasticity import SbpParams
 from mpsl.reference_grad import reference_gradients
-from mpsl.tape import backward, record_forward
+from mpsl.window import backward, record_forward
 
 
 def test_zero_network_has_zero_gradients():
@@ -51,8 +51,8 @@ def test_backward_agrees_with_oracle_on_random_networks():
 def test_agreement_in_pure_increment_mode():
     net, x, label = random_trial_net(301)
     net.sbp.delta_includes_decay = False
-    tape, _ = record_forward(net, x, label, t_steps=3)
-    got = backward(tape)
+    window, _ = record_forward(net, x, label, t_steps=3)
+    got = backward(window)
     want = reference_gradients(net, x, label, t_steps=3)
     for name in got:
         assert group_error(got[name], want[name]) <= 1e-6, name
@@ -60,8 +60,8 @@ def test_agreement_in_pure_increment_mode():
 
 def test_agreement_with_identity_spike_double():
     net, x, label = random_trial_net(57)
-    tape, _ = record_forward(net, x, label, t_steps=2, spike_identity=True)
-    got = backward(tape)
+    window, _ = record_forward(net, x, label, t_steps=2, spike_identity=True)
+    got = backward(window)
     want = reference_gradients(net, x, label, t_steps=2, spike_identity=True)
     for name in got:
         assert group_error(got[name], want[name]) <= 1e-6, name

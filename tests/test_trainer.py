@@ -1,4 +1,6 @@
+import copy
 import math
+from dataclasses import replace
 
 import numpy as np
 import numpy.testing as npt
@@ -74,6 +76,10 @@ def test_config_field_level_messages():
         TrainConfig.from_dict({"blobs": {"test_n_per_class": 0}})
     with pytest.raises(ConfigError, match="field 'blobs.sigma'"):
         TrainConfig.from_dict({"blobs": {"sigma": -1}})
+    with pytest.raises(ConfigError, match="field 'blobs.classes'"):
+        TrainConfig.from_dict({"blobs": {"classes": 1}})
+    with pytest.raises(ConfigError, match="field 'blobs.dim'"):
+        TrainConfig.from_dict({"blobs": {"classes": 4, "dim": 3}})
 
 
 def test_config_accepts_reference_mnist_settings_verbatim():
@@ -179,6 +185,41 @@ def test_sequential_mode_matches_batched_at_batch_size_one():
         npt.assert_array_equal(la.w1, lb.w1)
         npt.assert_array_equal(la.w2, lb.w2)
         npt.assert_array_equal(la.w3, lb.w3)
+
+
+class GradRecorder:
+    """Stands in for Adam: records each step's gradients, changes nothing."""
+
+    def __init__(self):
+        self.grads = []
+
+    def step(self, params, grads, skip=frozenset()):
+        self.grads.append({name: np.array(g, copy=True) for name, g in grads.items()})
+
+
+def test_sequential_mode_matches_batched_steps_at_batch_size_one():
+    # one sequential step over 4 items is 4 batched steps at batch 1 over the
+    # same items with the parameters held still: same mean loss, same mean
+    # gradient, same W2/W3 handed on
+    cfg = blobs_config(batch=4)
+    data = synthetic_blobs(make_rng(11), 1, 4, cfg.blobs.dim)
+    net = network_from_config(cfg)
+    outcomes = []
+    for step_cfg in (replace(cfg, sequential_plasticity=True), replace(cfg, batch_size=1)):
+        step_net = copy.deepcopy(net)
+        recorder = GradRecorder()
+        metrics = train_epoch(step_net, data, step_cfg, recorder, make_rng(12))
+        grads = {name: np.mean([g[name] for g in recorder.grads], axis=0)
+                 for name in recorder.grads[0]}
+        plastic = [w for layer in step_net.layers for w in (layer.w2, layer.w3)]
+        outcomes.append((len(recorder.grads), np.mean(metrics.batch_losses), grads, plastic))
+    (n_seq, loss, grads, plastic), (n_batched, ref_loss, ref_grads, ref_plastic) = outcomes
+    assert (n_seq, n_batched) == (1, 4)
+    assert loss == pytest.approx(ref_loss, rel=0, abs=1e-12)
+    for name in ref_grads:
+        npt.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12, err_msg=name)
+    for w, ref in zip(plastic, ref_plastic):
+        npt.assert_allclose(w, ref, rtol=0, atol=1e-12)
 
 
 def test_sequential_mode_differs_from_batched_for_larger_batches():
