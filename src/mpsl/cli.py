@@ -43,6 +43,7 @@ from .trainer import (
     make_run_id,
     network_from_checkpoint,
     run_ablation,
+    run_rngs,
     run_training,
 )
 
@@ -81,7 +82,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     net, cfg, ckpt = network_from_checkpoint(args.checkpoint)
-    data_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed).spawn(2)[0]))
+    data_rng, _shuffle_rng = run_rngs(cfg.seed)
     _train_ds, test_ds = load_datasets(cfg, data_rng)
     t0 = time.perf_counter()
     acc, loss = evaluate(net, test_ds, cfg.t_steps, merged=args.merged)
@@ -110,16 +111,26 @@ def _parse_levels(raw: str | None) -> list[float] | None:
     return levels
 
 
+def _seed_flag(seed: int | None, default: int) -> int:
+    if seed is None:
+        return default
+    if seed < 0:
+        raise ConfigError(f"--seed: must be >= 0, got {seed}")
+    return seed
+
+
 def cmd_robustness(args) -> int:
     net, cfg, ckpt = network_from_checkpoint(args.checkpoint)
-    data_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed).spawn(2)[0]))
+    data_rng, _shuffle_rng = run_rngs(cfg.seed)
     _train_ds, test_ds = load_datasets(cfg, data_rng)
     kinds = [part.strip() for part in args.kinds.split(",") if part.strip()]
+    if not kinds:
+        raise ConfigError("--kinds: need at least one kind")
     for kind in kinds:
         if kind not in DEFAULT_LEVELS:
             raise ConfigError(f"--kinds: unknown perturbation kind {kind!r}")
     levels = _parse_levels(args.levels)
-    base_seed = args.seed if args.seed is not None else cfg.seed
+    base_seed = _seed_flag(args.seed, default=cfg.seed)
     run_id = make_run_id(cfg, "robustness")
     lam_str = format_lambdas([layer.lam for layer in net.layers])
     t0 = time.perf_counter()
@@ -139,7 +150,7 @@ def cmd_robustness(args) -> int:
                 losses.append(loss)
             rows.append(MetricsRow(
                 run_id=run_id, command="robustness", variant=kind,
-                epoch_or_level=repr(float(level)), split="test",
+                epoch_or_level=repr(spec.level), split="test",
                 loss=float(np.mean(losses)), accuracy=float(np.mean(accs)),
                 accuracy_sd=float(np.std(accs)), lambda_values=lam_str,
                 seed=base_seed, wall_clock_s=time.perf_counter() - t0,
@@ -173,7 +184,7 @@ def cmd_gradcheck(args) -> int:
     if args.trials < 1:
         raise ConfigError("--trials: must be >= 1")
     result = run_gradcheck(
-        args.trials, args.seed if args.seed is not None else 20240501,
+        args.trials, _seed_flag(args.seed, default=20240501),
         surrogate_width_scale=args.corrupt_surrogate,
     )
     _p(
@@ -190,7 +201,7 @@ def cmd_gradcheck(args) -> int:
 
 def cmd_export_features(args) -> int:
     net, cfg, _ckpt = network_from_checkpoint(args.checkpoint)
-    data_rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed).spawn(2)[0]))
+    data_rng, _shuffle_rng = run_rngs(cfg.seed)
     _train_ds, test_ds = load_datasets(cfg, data_rng)
     n = args.n_samples
     if n < 1:

@@ -8,6 +8,7 @@ passes through untouched.
 from __future__ import annotations
 
 import gzip
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -53,9 +54,14 @@ class PerturbationSpec:
     kind: str
     level: float
 
+    def __post_init__(self) -> None:
+        self.level = float(self.level) + 0.0  # -0.0 becomes the zero level 0.0
+
     def validate(self, width: int, height: int) -> None:
         if self.kind not in PERTURBATION_KINDS:
             raise ValueError(f"unknown perturbation kind {self.kind!r}")
+        if not math.isfinite(self.level):
+            raise ValueError(f"{self.kind} level must be finite, got {self.level}")
         if self.kind == "gaussian" and self.level < 0:
             raise ValueError("gaussian sigma must be >= 0")
         if self.kind == "salt-pepper" and not 0.0 <= self.level <= 1.0:
@@ -160,42 +166,40 @@ def synthetic_blobs(
     return ds
 
 
-def perturb(
-    x: np.ndarray, spec: PerturbationSpec, rng: np.random.Generator,
-    width: int, height: int,
-) -> np.ndarray:
-    """Corrupt one flat width*height image; the result stays in [0, 1]."""
-    spec.validate(width, height)
-    if x.shape != (width * height,):
-        raise ValueError(f"expected a flat {width}x{height} image, got shape {x.shape}")
-    if spec.kind == "gaussian":
-        return np.clip(x + rng.normal(scale=spec.level, size=x.shape), 0.0, 1.0)
-    if spec.kind == "salt-pepper":
-        n_corrupt = int(np.floor(spec.level * width * height))
-        out = x.copy()
-        if n_corrupt:
-            idx = rng.choice(x.size, size=n_corrupt, replace=False)
-            out[idx] = rng.integers(0, 2, size=n_corrupt).astype(np.float64)
-        return out
-    # center-crop: zero the border, keep the centered patch in place so the
-    # input dimensionality is unchanged
-    side = int(spec.level)
-    out = np.zeros_like(x)
-    img = x.reshape(height, width)
-    r0 = (height - side) // 2
-    c0 = (width - side) // 2
-    view = out.reshape(height, width)
-    view[r0 : r0 + side, c0 : c0 + side] = img[r0 : r0 + side, c0 : c0 + side]
-    return out
-
-
 def perturb_dataset(ds: Dataset, spec: PerturbationSpec, seed: int) -> Dataset:
-    """Corrupt every sample with a per-sample derived seed (reproducible
-    and order-independent)."""
-    rng_seq = np.random.SeedSequence(seed)
-    children = rng_seq.spawn(len(ds))
-    images = np.empty_like(ds.images)
-    for i in range(len(ds)):
-        rng = np.random.Generator(np.random.PCG64(children[i]))
-        images[i] = perturb(ds.images[i], spec, rng, ds.width, ds.height)
+    """Corrupt every image of a split; the pixels stay in [0, 1].
+
+    Gaussian and salt-pepper draw from one generator per item, spawned from
+    SeedSequence(seed), so each item's corruption is reproducible and does
+    not depend on the other items. Center-crop draws nothing: it ignores the
+    seed, spawns no generators and crops the whole split in one assignment.
+    """
+    spec.validate(ds.width, ds.height)
+    n_pixels = ds.width * ds.height
+    if ds.images.shape[1:] != (n_pixels,):
+        raise ValueError(
+            f"expected flat {ds.width}x{ds.height} images, got shape {ds.images.shape}"
+        )
+    if spec.kind == "center-crop":
+        # zero the border, keep the centered patch in place so the input
+        # dimensionality is unchanged
+        side = int(spec.level)
+        r0 = (ds.height - side) // 2
+        c0 = (ds.width - side) // 2
+        patch = (slice(None), slice(r0, r0 + side), slice(c0, c0 + side))
+        images = np.zeros((len(ds), ds.height, ds.width), dtype=ds.images.dtype)
+        images[patch] = ds.images.reshape(images.shape)[patch]
+        images = images.reshape(len(ds), n_pixels)
+    else:
+        images = ds.images.copy()
+        n_corrupt = int(np.floor(spec.level * n_pixels))
+        for i, child in enumerate(np.random.SeedSequence(seed).spawn(len(ds))):
+            rng = np.random.Generator(np.random.PCG64(child))
+            if spec.kind == "gaussian":
+                row = images[i]
+                row += rng.normal(scale=spec.level, size=n_pixels)
+                np.clip(row, 0.0, 1.0, out=row)
+            elif n_corrupt:
+                idx = rng.choice(n_pixels, size=n_corrupt, replace=False)
+                images[i, idx] = rng.integers(0, 2, size=n_corrupt)
     return Dataset(images, ds.labels.copy(), ds.width, ds.height, ds.num_classes)

@@ -104,23 +104,27 @@ def forward_inference(
              penultimate-layer membrane potentials at the final timestep).
     When merged=True each layer uses its single collapsed matrix, otherwise
     the three pathways are evaluated separately.
+
+    Layer 1's drive is computed once and read at every step. This is exact:
+    x and the frozen weights do not change between steps, so one product
+    has the bytes that a product at every step would, and membrane_step
+    reads the drive without writing to it.
     """
     batch = x.shape[0]
     lif = net.lif
     merged_w = [merge_weights(layer) for layer in net.layers] if merged else None
+    drive_in = x @ merged_w[0].T if merged else fused_input(net.layers[0], x)
     u = [np.zeros((batch, layer.fan_out)) for layer in net.layers]
     s = [np.zeros((batch, layer.fan_out)) for layer in net.layers]
     counts = np.zeros((batch, net.num_classes))
     for _t in range(t_steps):
-        s_in = x
+        i_in = drive_in
         for idx, layer in enumerate(net.layers):
-            if merged:
-                i_in = s_in @ merged_w[idx].T
-            else:
-                i_in = fused_input(layer, s_in)
+            if idx:
+                s_in = s[idx - 1]
+                i_in = s_in @ merged_w[idx].T if merged else fused_input(layer, s_in)
             u[idx] = membrane_step(u[idx], s[idx], i_in, lif)
             s[idx] = spike(u[idx], lif)
-            s_in = s[idx]
         counts += s[-1]
     penultimate_u = u[-2] if len(net.layers) >= 2 else u[-1]
     return counts, penultimate_u

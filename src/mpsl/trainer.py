@@ -95,6 +95,8 @@ class TrainConfig:
             raise ConfigError("field 'layer_sizes': need >= 2 positive sizes")
         if self.t_steps < 1:
             raise ConfigError("field 't_steps': must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("field 'seed': must be >= 0")
         if self.epochs < 1:
             raise ConfigError("field 'epochs': must be >= 1")
         if self.batch_size < 1:
@@ -254,6 +256,14 @@ def make_run_id(cfg: TrainConfig, command: str) -> str:
 
 
 # --- data --------------------------------------------------------------------
+
+
+def run_rngs(seed: int) -> tuple[np.random.Generator, np.random.Generator]:
+    """(data, shuffle) generators of a run: the two streams spawned from its
+    seed. Commands that only reload a run's data take the first."""
+    data_seq, shuffle_seq = np.random.SeedSequence(seed).spawn(2)
+    return (np.random.Generator(np.random.PCG64(data_seq)),
+            np.random.Generator(np.random.PCG64(shuffle_seq)))
 
 
 def load_datasets(cfg: TrainConfig, data_rng: np.random.Generator) -> tuple[Dataset, Dataset]:
@@ -567,9 +577,7 @@ def run_training(
 ) -> TrainResult:
     cfg.validate()
     run_id = make_run_id(cfg, command)
-    master = np.random.SeedSequence(cfg.seed)
-    data_seq, shuffle_seq = master.spawn(2)
-    data_rng = np.random.Generator(np.random.PCG64(data_seq))
+    data_rng, shuffle_rng = run_rngs(cfg.seed)
     train_ds, test_ds = load_datasets(cfg, data_rng)
 
     start_epoch = 0
@@ -579,13 +587,11 @@ def run_training(
             raise ConfigError("resume checkpoint was produced by a different config")
         net = restore_network(cfg, ckpt)
         opt = restore_adam(cfg, ckpt)
-        shuffle_rng = np.random.Generator(np.random.PCG64(0))
         shuffle_rng.bit_generator.state = ckpt.rng_state
         start_epoch = ckpt.epoch
     else:
         net = network_from_config(cfg)
         opt = Adam(cfg.lr)
-        shuffle_rng = np.random.Generator(np.random.PCG64(shuffle_seq))
 
     elapsed = clock if clock is not None else _PerfClock()
     rows: list[MetricsRow] = []

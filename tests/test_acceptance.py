@@ -35,6 +35,7 @@ from mpsl.trainer import (
     network_from_checkpoint,
     network_from_config,
     run_ablation,
+    run_rngs,
     train_epoch,
 )
 
@@ -310,8 +311,8 @@ def test_criterion_6_robustness_monotone_degradation(desk_model, fallback_model,
         assert accs[i + 1] <= accs[i] + 0.005, f"accuracy rose at level {i + 1}: {accs}"
 
     net, cfg, _ = network_from_checkpoint(model["checkpoint"])
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed).spawn(2)[0]))
-    _train_ds, test_ds = load_datasets(cfg, rng)
+    data_rng, _shuffle_rng = run_rngs(cfg.seed)
+    _train_ds, test_ds = load_datasets(cfg, data_rng)
     clean_acc, _ = evaluate(net, test_ds, cfg.t_steps, merged=True)
     assert float(rows[0]["accuracy"]) == clean_acc
     assert float(rows[0]["accuracy_sd"]) == 0.0

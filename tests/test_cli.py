@@ -145,11 +145,11 @@ def test_robustness_sweep_contract(trained, tmp_path):
     assert [r["epoch_or_level"] for r in rows] == ["0.0", "0.1", "0.2"]  # ascending
     assert all(r["variant"] == "gaussian" for r in rows)
     # sigma=0 equals clean accuracy exactly, with zero spread
-    from mpsl.trainer import evaluate, load_datasets, network_from_checkpoint
+    from mpsl.trainer import evaluate, load_datasets, network_from_checkpoint, run_rngs
 
     net, cfg, _ = network_from_checkpoint(trained["checkpoint"])
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(cfg.seed).spawn(2)[0]))
-    _train_ds, test_ds = load_datasets(cfg, rng)
+    data_rng, _shuffle_rng = run_rngs(cfg.seed)
+    _train_ds, test_ds = load_datasets(cfg, data_rng)
     clean_acc, _ = evaluate(net, test_ds, cfg.t_steps, merged=True)
     assert float(rows[0]["accuracy"]) == clean_acc
     assert float(rows[0]["accuracy_sd"]) == 0.0
@@ -169,6 +169,52 @@ def test_robustness_empty_levels_exits_2(trained, capsys):
         "--kinds", "gaussian", "--levels", ",",
     ])
     assert code == 2
+
+
+def test_robustness_empty_kinds_exits_2(trained, capsys):
+    for kinds in ("", " , "):
+        code = main([
+            "robustness", "--checkpoint", str(trained["checkpoint"]), "--kinds", kinds,
+        ])
+        assert code == 2
+        assert "--kinds: need at least one kind" in capsys.readouterr().err
+
+
+def test_robustness_non_finite_level_exits_2_naming_kind_and_level(trained, tmp_path, capsys):
+    for kind, level in (("gaussian", "nan"), ("gaussian", "inf"), ("center-crop", "nan")):
+        code = main([
+            "robustness", "--checkpoint", str(trained["checkpoint"]),
+            "--kinds", kind, "--levels", level, "--out-dir", str(tmp_path),
+        ])
+        assert code == 2
+        assert f"{kind} level must be finite, got {level}" in capsys.readouterr().err
+    assert not (tmp_path / "robustness.csv").exists()
+
+
+def test_robustness_negative_zero_is_the_zero_level(trained, tmp_path):
+    code = main([
+        "robustness", "--checkpoint", str(trained["checkpoint"]),
+        "--kinds", "gaussian,salt-pepper", "--levels=-0.0", "--out-dir", str(tmp_path),
+    ])
+    assert code == 0
+    _header, rows = read_metrics(tmp_path / "robustness.csv")
+    assert [r["epoch_or_level"] for r in rows] == ["0.0", "0.0"]
+    assert rows[0]["accuracy"] == rows[1]["accuracy"]  # both kinds leave the images as they are
+
+
+def test_negative_seed_exits_2_naming_the_field(trained, tmp_path, capsys):
+    config = write_config(tmp_path, seed=-1)
+    assert main(["train", "--config", str(config), "--out-dir", str(tmp_path / "a")]) == 2
+    assert "field 'seed'" in capsys.readouterr().err
+    config = write_config(tmp_path)
+    assert main(["train", "--config", str(config), "--seed", "-3",
+                 "--out-dir", str(tmp_path / "b")]) == 2
+    assert "field 'seed'" in capsys.readouterr().err
+    assert main(["robustness", "--checkpoint", str(trained["checkpoint"]),
+                 "--seed", "-1", "--out-dir", str(tmp_path / "c")]) == 2
+    assert "--seed: must be >= 0" in capsys.readouterr().err
+    assert main(["gradcheck", "--trials", "1", "--seed", "-1"]) == 2
+    assert "--seed: must be >= 0" in capsys.readouterr().err
 
 
 def test_gradcheck_passes_and_detects_corruption(capsys):

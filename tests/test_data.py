@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import struct
 
 import numpy as np
@@ -10,7 +11,6 @@ from mpsl.data import (
     IdxFormatError,
     PerturbationSpec,
     load_idx,
-    perturb,
     perturb_dataset,
     synthetic_blobs,
 )
@@ -121,57 +121,97 @@ def test_blobs_rejects_single_class():
         synthetic_blobs(make_rng(0), 5, 1, 4)
 
 
+def flat_split(images, width, height):
+    """A split of the given flat images, all labelled class 0."""
+    return Dataset(images, np.zeros(len(images), dtype=np.int64), width, height, 10)
+
+
 def test_gaussian_zero_sigma_is_identity():
-    rng = make_rng(5)
-    x = rng.uniform(size=16)
-    out = perturb(x, PerturbationSpec("gaussian", 0.0), make_rng(6), 4, 4)
-    npt.assert_array_equal(out, x)
+    x = make_rng(5).uniform(size=(3, 16))
+    for level in (0.0, -0.0):  # -0.0 is the zero level, not a negative sigma
+        out = perturb_dataset(flat_split(x, 4, 4), PerturbationSpec("gaussian", level), seed=6)
+        npt.assert_array_equal(out.images, x)
 
 
 def test_gaussian_clamps_to_unit_interval():
-    x = np.full(16, 0.5)
-    out = perturb(x, PerturbationSpec("gaussian", 5.0), make_rng(7), 4, 4)
-    assert out.min() >= 0.0 and out.max() <= 1.0
+    x = np.full((3, 16), 0.5)
+    out = perturb_dataset(flat_split(x, 4, 4), PerturbationSpec("gaussian", 5.0), seed=7)
+    assert out.images.min() >= 0.0 and out.images.max() <= 1.0
 
 
 def test_salt_pepper_full_corruption():
-    rng = make_rng(8)
-    x = rng.uniform(0.2, 0.8, size=16)
-    out = perturb(x, PerturbationSpec("salt-pepper", 1.0), make_rng(9), 4, 4)
-    assert set(np.unique(out)) <= {0.0, 1.0}
+    x = make_rng(8).uniform(0.2, 0.8, size=(3, 16))
+    out = perturb_dataset(flat_split(x, 4, 4), PerturbationSpec("salt-pepper", 1.0), seed=9)
+    assert set(np.unique(out.images)) <= {0.0, 1.0}
 
 
 def test_salt_pepper_exact_corruption_count():
-    rng = make_rng(10)
-    x = np.full(100, 0.5)
-    for level in (0.05, 0.13, 0.25):
-        out = perturb(x, PerturbationSpec("salt-pepper", level), rng, 10, 10)
-        changed = int((out != 0.5).sum())
+    x = np.full((5, 100), 0.5)
+    for seed, level in enumerate((0.05, 0.13, 0.25)):
+        out = perturb_dataset(flat_split(x, 10, 10), PerturbationSpec("salt-pepper", level), seed)
         # corrupted pixels may land on 0 or 1 only; count distinct touched cells
-        assert changed == int(np.floor(level * 100))
+        changed = (out.images != 0.5).sum(axis=1)
+        npt.assert_array_equal(changed, int(np.floor(level * 100)))
 
 
 def test_center_crop_identity_and_border_zeroing():
-    rng = make_rng(11)
-    x = rng.uniform(0.1, 0.9, size=16)
-    out = perturb(x, PerturbationSpec("center-crop", 4), make_rng(0), 4, 4)
-    npt.assert_array_equal(out, x)
-    out2 = perturb(x, PerturbationSpec("center-crop", 2), make_rng(0), 4, 4)
-    img = out2.reshape(4, 4)
+    x = make_rng(11).uniform(0.1, 0.9, size=(1, 16))
+    out = perturb_dataset(flat_split(x, 4, 4), PerturbationSpec("center-crop", 4), seed=0)
+    npt.assert_array_equal(out.images, x)
+    out2 = perturb_dataset(flat_split(x, 4, 4), PerturbationSpec("center-crop", 2), seed=0)
+    img = out2.images.reshape(4, 4)
     npt.assert_array_equal(img[1:3, 1:3], x.reshape(4, 4)[1:3, 1:3])
     border = img.copy()
     border[1:3, 1:3] = 0.0
     npt.assert_array_equal(border, np.zeros((4, 4)))
 
 
+def test_center_crop_is_seed_free_and_equals_the_per_image_crop():
+    """On 1,024 items, square and not: the bulk crop equals a crop made one
+    image at a time from the definition, whatever the seed."""
+    for width, height, side in ((28, 28, 16), (7, 5, 3)):
+        ds = flat_split(make_rng(13).uniform(size=(1024, width * height)), width, height)
+        spec = PerturbationSpec("center-crop", side)
+        out = perturb_dataset(ds, spec, seed=1).images
+        assert out.tobytes() == perturb_dataset(ds, spec, seed=2).images.tobytes()
+        r0, c0 = (height - side) // 2, (width - side) // 2
+        for i in range(len(ds)):
+            expected = np.zeros((height, width))
+            for r in range(r0, r0 + side):
+                expected[r, c0 : c0 + side] = ds.images[i, r * width + c0 : r * width + c0 + side]
+            assert out[i].tobytes() == expected.tobytes()
+
+
+def test_perturb_dataset_bytes_are_pinned():
+    """SHA-256 of the corrupted images at a fixed seed and level, one per kind:
+    a rewrite that shifts any item's random stream changes these."""
+    rng = make_rng(21)
+    ds = Dataset(rng.uniform(size=(64, 30)), rng.integers(0, 10, size=64), 6, 5, 10)
+    pins = {
+        ("gaussian", 0.3): "d8cdaa3ff92e42a661969f94d8ad7b8f793e67b437be835e8c956c9159bad3bc",
+        ("salt-pepper", 0.15): "4b7e6e61b97f4f07f6fa27b953c9c499a49b2163bd3fa9d2a905068eb0839589",
+        ("center-crop", 3): "229716850f357c58abd1bdc7517977ad69592e33e9464c2489bee31375839ff7",
+    }
+    for (kind, level), digest in pins.items():
+        out = perturb_dataset(ds, PerturbationSpec(kind, level), seed=5)
+        assert hashlib.sha256(out.images.tobytes()).hexdigest() == digest, kind
+
+
 def test_center_crop_larger_than_image_is_fatal():
     with pytest.raises(ValueError):
-        perturb(np.zeros(16), PerturbationSpec("center-crop", 5), make_rng(0), 4, 4)
+        perturb_dataset(flat_split(np.zeros((1, 16)), 4, 4), PerturbationSpec("center-crop", 5), 0)
 
 
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError):
-        perturb(np.zeros(16), PerturbationSpec("poisson", 0.1), make_rng(0), 4, 4)
+        perturb_dataset(flat_split(np.zeros((1, 16)), 4, 4), PerturbationSpec("poisson", 0.1), 0)
+
+
+def test_non_finite_levels_rejected_naming_kind_and_level():
+    for kind in ("gaussian", "salt-pepper", "center-crop"):
+        for level in (float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError, match=f"{kind} level must be finite, got {level}"):
+                PerturbationSpec(kind, level).validate(28, 28)
 
 
 def test_perturb_dataset_reproducible_and_bounded():

@@ -8,9 +8,9 @@ import pytest
 
 from mpsl.data import Dataset, synthetic_blobs
 from mpsl.network import forward_inference, init_network
-from mpsl.neuron import LifConfig
+from mpsl.neuron import LifConfig, fused_input, membrane_step, spike
 from mpsl.numerics import make_rng
-from mpsl.plasticity import SbpParams
+from mpsl.plasticity import SbpParams, merge_weights
 from mpsl.trainer import (
     Adam,
     ConfigError,
@@ -80,6 +80,8 @@ def test_config_field_level_messages():
         TrainConfig.from_dict({"blobs": {"classes": 1}})
     with pytest.raises(ConfigError, match="field 'blobs.dim'"):
         TrainConfig.from_dict({"blobs": {"classes": 4, "dim": 3}})
+    with pytest.raises(ConfigError, match="field 'seed'"):
+        TrainConfig.from_dict({"seed": -1})
 
 
 def test_config_accepts_reference_mnist_settings_verbatim():
@@ -233,17 +235,17 @@ def test_sequential_mode_differs_from_batched_for_larger_batches():
 
 def test_checkpoint_round_trip_reproduces_trajectory(tmp_path):
     from mpsl.checkpoint import load_checkpoint, save_checkpoint
-    from mpsl.trainer import checkpoint_entries, load_datasets, restore_adam, restore_network
+    from mpsl.trainer import (
+        checkpoint_entries, load_datasets, restore_adam, restore_network, run_rngs,
+    )
 
     cfg = blobs_config(epochs=3, seed=5)
-    seqs = np.random.SeedSequence(cfg.seed).spawn(2)
 
     def fresh():
-        data_rng = np.random.Generator(np.random.PCG64(seqs[0]))
+        data_rng, rng = run_rngs(cfg.seed)
         train, test = load_datasets(cfg, data_rng)
         net = network_from_config(cfg)
         opt = Adam(cfg.lr)
-        rng = np.random.Generator(np.random.PCG64(seqs[1]))
         return train, net, opt, rng
 
     # uninterrupted: three epochs straight through
@@ -292,6 +294,44 @@ def test_merged_and_three_path_inference_agree_on_labels():
         assert np.abs(merged_counts - plain_counts).max() <= 1e-9
         total += int((np.argmax(merged_counts, 1) == np.argmax(plain_counts, 1)).sum())
     assert total == 1000
+
+
+def recomputed_inference(net, x, t_steps, merged):
+    """forward_inference with every drive, layer 1's included, recomputed
+    at every step through merge_weights or fused_input."""
+    u = [np.zeros((len(x), layer.fan_out)) for layer in net.layers]
+    s = [np.zeros((len(x), layer.fan_out)) for layer in net.layers]
+    counts = np.zeros((len(x), net.num_classes))
+    for _t in range(t_steps):
+        s_in = x
+        for idx, layer in enumerate(net.layers):
+            i_in = s_in @ merge_weights(layer).T if merged else fused_input(layer, s_in)
+            u[idx] = membrane_step(u[idx], s[idx], i_in, net.lif)
+            s[idx] = spike(u[idx], net.lif)
+            s_in = s[idx]
+        counts += s[-1]
+    return counts, u[-2] if len(net.layers) >= 2 else u[-1]
+
+
+def test_inference_is_byte_identical_to_per_step_recomputation():
+    rng = make_rng(78)
+    spikes = 0
+    for trial in range(60):
+        sizes = [int(n) for n in rng.integers(2, 9, size=int(rng.integers(2, 5)))]
+        net = init_network(sizes, seed=trial, lif=LifConfig(), sbp=SbpParams())
+        for layer in net.layers:
+            layer.w2 = rng.normal(scale=0.4, size=layer.w2.shape)
+            layer.w3 = rng.normal(scale=0.4, size=layer.w3.shape)
+            layer.lam = rng.uniform(0.1, 0.6, size=3)
+        batch, t_steps = int(rng.integers(1, 5)), int(rng.integers(1, 6))
+        x = np.zeros((batch, sizes[0])) if trial % 10 == 0 else rng.uniform(size=(batch, sizes[0]))
+        for merged in (True, False):
+            counts, u_pen = forward_inference(net, x, t_steps, merged)
+            want_counts, want_u = recomputed_inference(net, x, t_steps, merged)
+            assert counts.tobytes() == want_counts.tobytes(), (trial, merged)
+            assert u_pen.tobytes() == want_u.tobytes(), (trial, merged)
+            spikes += int(counts.sum())
+    assert spikes > 0
 
 
 def test_untrained_network_sits_at_chance_level():
