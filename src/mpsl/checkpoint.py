@@ -13,7 +13,7 @@ Layout (integers little-endian):
                 float64 x prod(dims) payload
 
 Float payloads are raw IEEE-754 bytes, so a save/load round trip is
-bit-exact.
+bit-exact. atomic_write is the one file write of every command's outputs.
 """
 
 from __future__ import annotations
@@ -53,9 +53,25 @@ def config_hash_bytes(config_json: str) -> bytes:
     return hashlib.sha256(config_json.encode("utf-8")).digest()
 
 
+def atomic_write(path, data: bytes) -> None:
+    """Write data to a temp file beside path, then rename it over path, so
+    readers see the old file or the whole new one, never a partial one."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as f:
+            f.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
+
+
 def save_checkpoint(path, config_json: str, epoch: int, rng_state: dict,
                     entries: dict[str, np.ndarray]) -> None:
-    """Atomic write: assembled in memory, written to a temp file, renamed."""
+    """Assembled in memory, then written with atomic_write."""
     blob = bytearray()
     blob += MAGIC
     blob += struct.pack("<I", FORMAT_VERSION)
@@ -75,18 +91,7 @@ def save_checkpoint(path, config_json: str, epoch: int, rng_state: dict,
         for dim in arr.shape:
             blob += struct.pack("<Q", dim)
         blob += np.ascontiguousarray(arr).astype("<f8", copy=False).tobytes()
-
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(blob)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, blob)
 
 
 class _Reader:

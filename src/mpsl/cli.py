@@ -23,13 +23,12 @@ if "MPSL_THREADS" in os.environ:
 
 import argparse
 import sys
-import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError
+from .checkpoint import CheckpointError, atomic_write
 from .data import IdxFormatError, PerturbationSpec, perturb_dataset
 from .gradcheck import run_gradcheck
 from .metrics import MetricsRow, format_lambdas, write_metrics_csv
@@ -221,16 +220,7 @@ def cmd_export_features(args) -> int:
     for row_label, row in zip(labels, penultimate):
         lines.append(str(int(row_label)) + "," + ",".join(repr(float(v)) for v in row))
     out_path = Path(args.out)
-    out_path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=out_path.parent, prefix=out_path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write("\n".join(lines) + "\n")
-        os.replace(tmp, out_path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(out_path, ("\n".join(lines) + "\n").encode("utf-8"))
     _p(f"wrote {n} rows x (1+{width}) columns to {out_path}")
     return EXIT_OK
 

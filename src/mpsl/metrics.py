@@ -5,10 +5,10 @@ re-runs except for the trailing wall-clock column.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
+
+from .checkpoint import atomic_write
 
 HEADER_COMMENT = "# mpsl-metrics v1"
 COLUMNS = (
@@ -49,20 +49,10 @@ def format_lambdas(layer_lams) -> str:
 
 
 def write_metrics_csv(path, rows: list[MetricsRow]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     body = "\n".join(
         [HEADER_COMMENT, ",".join(COLUMNS)] + [row.as_csv() for row in rows]
     ) + "\n"
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w") as f:
-            f.write(body)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
+    atomic_write(path, body.encode("utf-8"))
 
 
 def read_metrics(path) -> tuple[str, list[dict]]:
@@ -75,14 +65,3 @@ def read_metrics(path) -> tuple[str, list[dict]]:
     rows = [dict(zip(names, line.split(","))) for line in lines[2:] if line]
     return header, rows
 
-
-def strip_wall_clock(path) -> str:
-    """File contents with the wall-clock column removed, for byte-level
-    determinism comparisons."""
-    out = []
-    for line in Path(path).read_text().splitlines():
-        if line.startswith("#"):
-            out.append(line)
-        else:
-            out.append(line.rsplit(",", 1)[0])
-    return "\n".join(out)

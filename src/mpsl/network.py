@@ -10,7 +10,9 @@ from .neuron import LifConfig, fused_input, membrane_step, spike
 from .numerics import kaiming_uniform_init, make_rng
 from .plasticity import MultiPathLayer, SbpParams, merge_weights
 
+# Initial values of each layer's learnables; TrainConfig's defaults are these.
 ETA_INIT = 0.01
+LAMBDA_INIT = (1 / 3, 1 / 3, 1 / 3)
 # Centers the bounded nonlinearity: sigmoid(0) + beta = 0, so the Hebbian
 # pathway has no weight drift at the resting potential. With beta = 0 the
 # layer-1 recurrence grows all-positive until every membrane sits above the
@@ -47,39 +49,39 @@ class Network:
         params["lambda_p"] = self.lambda_p
         return params
 
+    def named_state(self) -> dict[str, np.ndarray]:
+        """named_parameters() plus each layer's W2/W3: everything a
+        checkpoint holds of the network."""
+        state = self.named_parameters()
+        for idx, layer in enumerate(self.layers):
+            state[f"layers.{idx}.w2"] = layer.w2
+            state[f"layers.{idx}.w3"] = layer.w3
+        return state
+
 
 def init_network(
     layer_sizes: list[int],
     seed: int,
     lif: LifConfig,
     sbp: SbpParams,
-    lambda_init: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3),
+    lambda_init: tuple[float, float, float] = LAMBDA_INIT,
     eta_init: float = ETA_INIT,
     beta_init: float = BETA_INIT,
-    zero_weights: bool = False,
 ) -> Network:
     """Build a fresh network. W1 gets kaiming-uniform init; the local-rule
     pathways W2/W3 start at a tenth of that scale (their recurrences then
-    take over). zero_weights=True zeroes all three pathways (test fixture).
+    take over).
     """
     if len(layer_sizes) < 2:
         raise ValueError("layer_sizes needs at least an input and an output size")
     rng = make_rng(seed)
     layers = []
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        if zero_weights:
-            w1 = np.zeros((fan_out, fan_in))
-            w2 = np.zeros((fan_out, fan_in))
-            w3 = np.zeros((fan_out, fan_in))
-        else:
-            w1 = kaiming_uniform_init(rng, fan_in, fan_out, fan_in)
-            w2 = LOCAL_PATH_INIT_SCALE * kaiming_uniform_init(rng, fan_in, fan_out, fan_in)
-            w3 = LOCAL_PATH_INIT_SCALE * kaiming_uniform_init(rng, fan_in, fan_out, fan_in)
         layers.append(
             MultiPathLayer(
-                w1=w1,
-                w2=w2,
-                w3=w3,
+                w1=kaiming_uniform_init(rng, fan_in, fan_out, fan_in),
+                w2=LOCAL_PATH_INIT_SCALE * kaiming_uniform_init(rng, fan_in, fan_out, fan_in),
+                w3=LOCAL_PATH_INIT_SCALE * kaiming_uniform_init(rng, fan_in, fan_out, fan_in),
                 lam=np.array(lambda_init, dtype=np.float64),
                 eta=np.array(eta_init, dtype=np.float64),
                 beta=np.array(beta_init, dtype=np.float64),

@@ -15,10 +15,13 @@ is an approximation of that strict per-item schedule.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import hashlib
 import json
 import math
 import time
+import typing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -27,7 +30,7 @@ import numpy as np
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
 from .data import Dataset, load_idx, synthetic_blobs
 from .metrics import MetricsRow, format_lambdas
-from .network import Network, forward_inference, init_network
+from .network import BETA_INIT, ETA_INIT, LAMBDA_INIT, Network, forward_inference, init_network
 from .neuron import LifConfig
 from .plasticity import SbpParams
 from .window import backward, record_forward, softmax_xent
@@ -79,9 +82,9 @@ class TrainConfig:
     lambda_mode: str = "learnable"
     frozen_source: str | None = None
     sequential_plasticity: bool = False
-    lambda_init: list[float] = field(default_factory=lambda: [1 / 3, 1 / 3, 1 / 3])
-    eta_init: float = 0.01
-    beta_init: float = -0.5
+    lambda_init: list[float] = field(default_factory=lambda: list(LAMBDA_INIT))
+    eta_init: float = ETA_INIT
+    beta_init: float = BETA_INIT
     lif: LifConfig = field(default_factory=LifConfig)
     sbp: SbpParams = field(default_factory=SbpParams)
     blobs: BlobsConfig = field(default_factory=BlobsConfig)
@@ -134,107 +137,65 @@ class TrainConfig:
             raise ConfigError(f"field 'sbp': {err}") from err
 
     def to_dict(self) -> dict:
-        return {
-            "dataset": self.dataset,
-            "data_dir": self.data_dir,
-            "layer_sizes": list(self.layer_sizes),
-            "t_steps": self.t_steps,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "lr": self.lr,
-            "seed": self.seed,
-            "lambda_mode": self.lambda_mode,
-            "frozen_source": self.frozen_source,
-            "sequential_plasticity": self.sequential_plasticity,
-            "lambda_init": list(self.lambda_init),
-            "eta_init": self.eta_init,
-            "beta_init": self.beta_init,
-            "lif": {"v_th": self.lif.v_th, "rho_m": self.lif.rho_m,
-                    "a": self.lif.a, "dt": self.lif.dt},
-            "sbp": {"lambda_f": self.sbp.lambda_f, "lambda_p": self.sbp.lambda_p,
-                    "tau_w": self.sbp.tau_w,
-                    "delta_includes_decay": self.sbp.delta_includes_decay},
-            "blobs": {"n_per_class": self.blobs.n_per_class,
-                      "test_n_per_class": self.blobs.test_n_per_class,
-                      "classes": self.blobs.classes, "dim": self.blobs.dim,
-                      "sigma": self.blobs.sigma},
-        }
+        return dataclasses.asdict(self)
 
     def canonical_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
 
     @staticmethod
     def from_dict(raw: dict) -> "TrainConfig":
-        cfg = TrainConfig()
-        scalars = {
-            "dataset": str, "data_dir": str, "t_steps": int, "epochs": int,
-            "batch_size": int, "lr": float, "seed": int, "lambda_mode": str,
-            "frozen_source": str, "sequential_plasticity": bool,
-            "eta_init": float, "beta_init": float,
-        }
-        known = set(scalars) | {"layer_sizes", "lambda_init", "lif", "sbp", "blobs"}
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        for key, kind in scalars.items():
-            if key not in raw or raw[key] is None:
-                continue
-            value = raw[key]
-            if kind is bool:
-                if not isinstance(value, bool):
-                    raise ConfigError(f"field {key!r}: expected true/false, got {value!r}")
-            elif kind in (int, float):
-                if isinstance(value, bool) or not isinstance(value, (int, float)):
-                    raise ConfigError(f"field {key!r}: expected a number, got {value!r}")
-                if kind is int and int(value) != value:
-                    raise ConfigError(f"field {key!r}: expected an integer, got {value!r}")
-                value = kind(value)
-            elif kind is str and not isinstance(value, str):
-                raise ConfigError(f"field {key!r}: expected a string, got {value!r}")
-            setattr(cfg, key, value)
-        for key in ("layer_sizes", "lambda_init"):
-            if key in raw:
-                value = raw[key]
-                if not isinstance(value, list) or not all(
-                    isinstance(v, (int, float)) and not isinstance(v, bool) for v in value
-                ):
-                    raise ConfigError(f"field {key!r}: expected a list of numbers")
-                setattr(cfg, key, [int(v) for v in value] if key == "layer_sizes"
-                        else [float(v) for v in value])
-        cfg.lif = _parse_section(raw.get("lif"), "lif", LifConfig, {
-            "v_th": float, "rho_m": float, "a": float, "dt": float})
-        cfg.sbp = _parse_section(raw.get("sbp"), "sbp", SbpParams, {
-            "lambda_f": float, "lambda_p": float, "tau_w": float,
-            "delta_includes_decay": bool})
-        cfg.blobs = _parse_section(raw.get("blobs"), "blobs", BlobsConfig, {
-            "n_per_class": int, "test_n_per_class": int, "classes": int,
-            "dim": int, "sigma": float})
+        cfg = _read_config(TrainConfig, raw, "")
         cfg.validate()
         return cfg
 
 
-def _parse_section(raw, name, factory, fields):
-    if raw is None:
-        return factory()
-    if not isinstance(raw, dict):
-        raise ConfigError(f"field {name!r}: expected an object")
-    unknown = set(raw) - set(fields)
+@functools.cache
+def _field_types(cls) -> dict[str, type]:
+    """Each field of a config dataclass with its resolved annotation."""
+    hints = typing.get_type_hints(cls)
+    return {f.name: hints[f.name] for f in dataclasses.fields(cls)}
+
+
+def _read_config(cls, raw: dict, prefix: str):
+    """Build the config dataclass cls from a JSON object, field by field as
+    its annotations declare them. Absent keys keep their defaults; prefix
+    is the dotted path of a nested section ('' at the top)."""
+    types = _field_types(cls)
+    unknown = set(raw) - set(types)
     if unknown:
-        raise ConfigError(f"unknown keys in {name!r}: {sorted(unknown)}")
-    kwargs = {}
-    for key, kind in fields.items():
-        if key not in raw:
-            continue
-        value = raw[key]
-        if kind is bool:
-            if not isinstance(value, bool):
-                raise ConfigError(f"field '{name}.{key}': expected true/false, got {value!r}")
-        else:
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"field '{name}.{key}': expected a number, got {value!r}")
-            value = kind(value)
-        kwargs[key] = value
-    return factory(**kwargs)
+        where = f"keys in {prefix[:-1]!r}" if prefix else "config keys"
+        raise ConfigError(f"unknown {where}: {sorted(unknown)}")
+    return cls(**{key: _read_value(kind, raw[key], prefix + key)
+                  for key, kind in types.items() if key in raw})
+
+
+def _read_value(kind, value, name: str):
+    """One field's value checked against its annotation; name is the
+    field's dotted path, for the message."""
+    args = typing.get_args(kind)
+    if type(None) in args:  # X | None
+        if value is None:
+            return None
+        (kind,) = (arg for arg in args if arg is not type(None))
+    if dataclasses.is_dataclass(kind):
+        if not isinstance(value, dict):
+            raise ConfigError(f"field {name!r}: expected an object")
+        return _read_config(kind, value, name + ".")
+    if typing.get_origin(kind) is list:
+        if not isinstance(value, list):
+            raise ConfigError(f"field {name!r}: expected a list, got {value!r}")
+        return [_read_value(typing.get_args(kind)[0], item, name) for item in value]
+    if kind is bool:
+        ok, expected = isinstance(value, bool), "true/false"
+    elif kind is str:
+        ok, expected = isinstance(value, str), "a string"
+    else:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool) and (
+            kind is float or isinstance(value, int) or value.is_integer())
+        expected = "an integer" if kind is int else "a number"
+    if not ok:
+        raise ConfigError(f"field {name!r}: expected {expected}, got {value!r}")
+    return kind(value)
 
 
 def load_config_file(path) -> TrainConfig:
@@ -357,27 +318,16 @@ def _train_window(net: Network, x: np.ndarray, labels, cfg: TrainConfig,
 
 
 def _state_norms(net: Network) -> dict[str, float]:
-    norms = {name: float(np.linalg.norm(arr)) for name, arr in net.named_parameters().items()}
-    for idx, layer in enumerate(net.layers):
-        norms[f"layers.{idx}.w2"] = float(np.linalg.norm(layer.w2))
-        norms[f"layers.{idx}.w3"] = float(np.linalg.norm(layer.w3))
-    return norms
+    return {name: float(np.linalg.norm(arr)) for name, arr in net.named_state().items()}
 
 
 def _check_finite(net: Network, batch_index: int) -> None:
-    for name, arr in net.named_parameters().items():
+    for name, arr in net.named_state().items():
         if not np.all(np.isfinite(arr)):
             raise NumericAbortError(
-                f"non-finite values in parameter {name} after batch {batch_index}",
+                f"non-finite values in {name} after batch {batch_index}",
                 batch_index, _state_norms(net),
             )
-    for idx, layer in enumerate(net.layers):
-        for name, arr in (("w2", layer.w2), ("w3", layer.w3)):
-            if not np.all(np.isfinite(arr)):
-                raise NumericAbortError(
-                    f"non-finite values in layers.{idx}.{name} after batch {batch_index}",
-                    batch_index, _state_norms(net),
-                )
 
 
 def _project_fraction_factors(net: Network) -> None:
@@ -465,32 +415,11 @@ def evaluate(
     return correct / len(data), total_loss / len(data)
 
 
-def canonical_batch_events(t_steps: int, n_layers: int) -> list[tuple]:
-    events: list[tuple] = []
-    for t in range(1, t_steps + 1):
-        for l in range(1, n_layers + 1):
-            events.append(("forward", t, l))
-            events.append(("hebbian", t, l))
-        for l in range(n_layers, 0, -1):
-            events.append(("sbp", t, l))
-    events.append(("grad-step",))
-    return events
-
-
 # --- checkpoint glue ---------------------------------------------------------
 
 
 def checkpoint_entries(net: Network, opt: Adam | None) -> dict[str, np.ndarray]:
-    entries: dict[str, np.ndarray] = {}
-    for idx, layer in enumerate(net.layers):
-        entries[f"layers.{idx}.w1"] = layer.w1
-        entries[f"layers.{idx}.w2"] = layer.w2
-        entries[f"layers.{idx}.w3"] = layer.w3
-        entries[f"layers.{idx}.lam"] = layer.lam
-        entries[f"layers.{idx}.eta"] = layer.eta
-        entries[f"layers.{idx}.beta"] = layer.beta
-    entries["lambda_f"] = net.lambda_f
-    entries["lambda_p"] = net.lambda_p
+    entries = net.named_state()
     if opt is not None:
         entries["adam.step"] = np.asarray(float(opt.step_count))
         for name, arr in opt.m.items():
@@ -522,19 +451,16 @@ def _entry(ckpt: Checkpoint, name: str, shape: tuple | None = None) -> np.ndarra
     arr = ckpt.entries[name]
     if shape is not None and arr.shape != shape:
         raise CheckpointError(f"checkpoint entry {name!r} has shape {arr.shape}, expected {shape}")
-    return arr.copy()
+    return arr
 
 
 def restore_network(cfg: TrainConfig, ckpt: Checkpoint) -> Network:
-    """Entries are looked up by name. Others are ignored, such as the cached
-    last Hebbian increment per layer that earlier files carry."""
+    """Entries are looked up by name and copied into a freshly built
+    network. Others are ignored, such as the cached last Hebbian increment
+    per layer that earlier files carry."""
     net = init_network(cfg.layer_sizes, cfg.seed, cfg.lif, cfg.sbp)
-    for idx, layer in enumerate(net.layers):
-        for name in ("w1", "w2", "w3", "lam", "eta", "beta"):
-            shape = getattr(layer, name).shape
-            setattr(layer, name, _entry(ckpt, f"layers.{idx}.{name}", shape))
-    net.lambda_f = _entry(ckpt, "lambda_f", ())
-    net.lambda_p = _entry(ckpt, "lambda_p", ())
+    for name, arr in net.named_state().items():
+        arr[...] = _entry(ckpt, name, arr.shape)
     return net
 
 

@@ -17,11 +17,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import canonical_batch_events, strip_wall_clock, zero_network
 from oracles import window_oracle
 
 from mpsl.cli import main
 from mpsl.data import Dataset, synthetic_blobs
-from mpsl.metrics import read_metrics, strip_wall_clock
+from mpsl.metrics import read_metrics
 from mpsl.network import forward_inference, init_network
 from mpsl.neuron import LifConfig
 from mpsl.numerics import make_rng
@@ -29,7 +30,6 @@ from mpsl.plasticity import SbpParams
 from mpsl.trainer import (
     Adam,
     TrainConfig,
-    canonical_batch_events,
     evaluate,
     load_datasets,
     network_from_checkpoint,
@@ -384,7 +384,7 @@ def test_criterion_9_first_batch_loss_equals_log_classes():
     cfg.validate()
     data = Dataset(images=np.zeros((8, 20)), labels=np.arange(8, dtype=np.int64) % 10,
                    width=20, height=1, num_classes=10)
-    net = init_network(cfg.layer_sizes, seed=0, lif=cfg.lif, sbp=cfg.sbp, zero_weights=True)
+    net = zero_network(cfg.layer_sizes, cfg.lif, cfg.sbp)
     metrics = train_epoch(net, data, cfg, Adam(cfg.lr), make_rng(1))
     err = abs(metrics.batch_losses[0] - math.log(10))
     assert err <= 1e-9

@@ -123,6 +123,28 @@ def test_network_and_optimizer_state_round_trip(tmp_path):
         npt.assert_array_equal(l1.w3, l2.w3)
 
 
+def test_restore_copies_every_state_entry(tmp_path):
+    # every array of named_state() moves away from its fresh-init value, so
+    # an entry that restore_network skipped would keep the init value
+    cfg = TrainConfig()
+    cfg.layer_sizes = [32, 16, 4]
+    cfg.blobs.dim = 32
+    cfg.validate()
+    net = network_from_config(cfg)
+    rng = make_rng(3)
+    for arr in net.named_state().values():
+        arr += rng.uniform(0.1, 0.2, size=arr.shape)
+    path = tmp_path / "state.ckpt"
+    save_checkpoint(path, cfg.canonical_json(), 1, make_rng(1).bit_generator.state,
+                    checkpoint_entries(net, None))
+    ckpt = load_checkpoint(path)
+    restored = restore_network(cfg, ckpt).named_state()
+    assert restored.keys() == net.named_state().keys()
+    for name, arr in net.named_state().items():
+        npt.assert_array_equal(restored[name], arr, err_msg=name)
+        assert not np.shares_memory(restored[name], ckpt.entries[name]), name
+
+
 def test_legacy_checkpoint_with_cached_increments_restores(tmp_path):
     # files written while layers cached their last Hebbian increment carry one
     # more entry per layer; restoring looks entries up by name and ignores it

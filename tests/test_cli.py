@@ -6,7 +6,9 @@ import pytest
 
 from mpsl.checkpoint import load_checkpoint, save_checkpoint
 from mpsl.cli import main
-from mpsl.metrics import read_metrics, strip_wall_clock
+from mpsl.metrics import read_metrics
+
+from helpers import strip_wall_clock
 
 
 def write_config(tmp_path, **overrides):

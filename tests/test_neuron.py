@@ -8,6 +8,8 @@ from mpsl.numerics import make_rng
 from mpsl.plasticity import MultiPathLayer, SbpParams
 from mpsl.window import backward, record_forward
 
+from helpers import zero_network
+
 
 def make_layer(w1, w2, w3, lam):
     return MultiPathLayer(
@@ -73,8 +75,7 @@ def surrogate_check(u0, a=1.0):
 
     The spike derivative is the only factor between the two, so their ratio
     is the rectangular surrogate at u0."""
-    net = init_network([1, 2], seed=0, lif=LifConfig(v_th=0.3, a=a), sbp=SbpParams(),
-                       zero_weights=True)
+    net = zero_network([1, 2], LifConfig(v_th=0.3, a=a), SbpParams())
     net.layers[0].w1 = np.array([[u0], [0.0]])
     net.layers[0].lam = np.array([1.0, 0.0, 0.0])
     window, counts = record_forward(net, np.array([1.0]), 1, t_steps=1)

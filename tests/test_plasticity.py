@@ -13,6 +13,7 @@ from mpsl.numerics import ShapeMismatchError, make_rng
 from mpsl.plasticity import MultiPathLayer, SbpParams, merge_weights
 from mpsl.window import record_forward
 
+from helpers import zero_network
 from oracles import hebbian_oracle, sbp_oracle
 
 
@@ -29,8 +30,7 @@ def random_layer(rng, fan_in, fan_out, eta=0.01, beta=0.0):
 
 def gradient_path_net(sizes, w1s, sbp=None):
     """Zero-weight net driven by W1 alone (lam = [1, 0, 0]), beta = 0."""
-    net = init_network(sizes, seed=0, lif=LifConfig(v_th=0.3), sbp=sbp or SbpParams(),
-                       zero_weights=True)
+    net = zero_network(sizes, LifConfig(v_th=0.3), sbp or SbpParams())
     for layer, w1 in zip(net.layers, w1s):
         layer.w1 = np.asarray(w1, dtype=np.float64)
         layer.lam = np.array([1.0, 0.0, 0.0])

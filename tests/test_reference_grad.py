@@ -2,15 +2,16 @@ import numpy as np
 import numpy.testing as npt
 
 from mpsl.gradcheck import group_error, random_trial_net, run_gradcheck
-from mpsl.network import init_network
 from mpsl.neuron import LifConfig
 from mpsl.plasticity import SbpParams
 from mpsl.reference_grad import reference_gradients
 from mpsl.window import backward, record_forward
 
+from helpers import zero_network
+
 
 def test_zero_network_has_zero_gradients():
-    net = init_network([3, 4, 2], seed=0, lif=LifConfig(), sbp=SbpParams(), zero_weights=True)
+    net = zero_network([3, 4, 2], LifConfig(), SbpParams())
     for name, grad in reference_gradients(net, np.zeros(3), 0, t_steps=2).items():
         npt.assert_array_equal(grad, np.zeros_like(grad), err_msg=name)
 
@@ -18,8 +19,7 @@ def test_zero_network_has_zero_gradients():
 def test_tiny_net_hand_computed_lambda_sensitivity():
     # one unit, one step: U = lam1 * w * x, O = spike(U);   with the unit
     # spiking inside the surrogate window, d loss/d lam1 = (p0 - 1) * w * x
-    net = init_network([1, 1], seed=0, lif=LifConfig(v_th=0.3, a=1.0), sbp=SbpParams(),
-                       zero_weights=True)
+    net = zero_network([1, 1], LifConfig(v_th=0.3, a=1.0), SbpParams())
     net.layers[0].w1 = np.array([[0.8]])
     net.layers[0].lam = np.array([1.0, 0.0, 0.0])
     x = np.array([0.5])
@@ -27,8 +27,7 @@ def test_tiny_net_hand_computed_lambda_sensitivity():
     # counts = [1]; single class -> softmax prob 1, gradient of counts is 0
     assert float(grads["layers.0.lam"][0]) == 0.0
 
-    net2 = init_network([1, 2], seed=0, lif=LifConfig(v_th=0.3, a=1.0), sbp=SbpParams(),
-                        zero_weights=True)
+    net2 = zero_network([1, 2], LifConfig(v_th=0.3, a=1.0), SbpParams())
     net2.layers[0].w1 = np.array([[0.8], [0.0]])
     net2.layers[0].lam = np.array([1.0, 0.0, 0.0])
     grads2 = reference_gradients(net2, x, 0, t_steps=1)

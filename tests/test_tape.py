@@ -7,18 +7,17 @@ import numpy as np
 import numpy.testing as npt
 
 from mpsl.gradcheck import group_error, random_trial_net
-from mpsl.network import init_network
 from mpsl.neuron import LifConfig
 from mpsl.numerics import make_rng
 from mpsl.plasticity import SbpParams
 from mpsl.window import backward, record_forward
 
+from helpers import zero_network
 from oracles import window_oracle
 
 
 def zero_net(sizes, v_th=0.3, tau_w=40.0):
-    return init_network(sizes, seed=0, lif=LifConfig(v_th=v_th), sbp=SbpParams(tau_w=tau_w),
-                        zero_weights=True)
+    return zero_network(sizes, LifConfig(v_th=v_th), SbpParams(tau_w=tau_w))
 
 
 def test_zero_network_single_step():

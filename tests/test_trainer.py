@@ -16,13 +16,15 @@ from mpsl.trainer import (
     ConfigError,
     NumericAbortError,
     TrainConfig,
-    canonical_batch_events,
     evaluate,
+    make_run_id,
     network_from_config,
     run_ablation,
     run_training,
     train_epoch,
 )
+
+from helpers import canonical_batch_events, zero_network
 
 
 def blobs_config(classes=4, dim=32, hidden=64, epochs=2, seed=1, batch=16, lr=1e-3):
@@ -82,6 +84,18 @@ def test_config_field_level_messages():
         TrainConfig.from_dict({"blobs": {"classes": 4, "dim": 3}})
     with pytest.raises(ConfigError, match="field 'seed'"):
         TrainConfig.from_dict({"seed": -1})
+    # integers are never truncated, and null is allowed only where a field is optional
+    with pytest.raises(ConfigError, match="field 'layer_sizes': expected an integer"):
+        TrainConfig.from_dict({"layer_sizes": [784, 256.7, 10]})
+    with pytest.raises(ConfigError, match="field 'blobs.n_per_class': expected an integer"):
+        TrainConfig.from_dict({"blobs": {"n_per_class": 2.5}})
+    with pytest.raises(ConfigError, match="field 'blobs.classes': expected an integer"):
+        TrainConfig.from_dict({"blobs": {"classes": 4.9}})
+    with pytest.raises(ConfigError, match="field 't_steps': expected an integer, got None"):
+        TrainConfig.from_dict({"t_steps": None})
+    with pytest.raises(ConfigError, match="field 'lif.v_th': expected a number, got None"):
+        TrainConfig.from_dict({"lif": {"v_th": None}})
+    assert TrainConfig.from_dict({"data_dir": None, "frozen_source": None}) == TrainConfig()
 
 
 def test_config_accepts_reference_mnist_settings_verbatim():
@@ -101,6 +115,19 @@ def test_config_round_trips_through_json():
     assert again.canonical_json() == cfg.canonical_json()
 
 
+def test_run_ids_are_pinned():
+    # a change to the config's serialization moves every run id and
+    # checkpoint config hash; these were computed before the reader was
+    # derived from the dataclass fields
+    assert make_run_id(TrainConfig(), "train") == "cc59a2f72fb4"
+    cfg = TrainConfig.from_dict({
+        "dataset": "mnist", "data_dir": "/data/mnist", "layer_sizes": [784, 256, 10],
+        "t_steps": 8, "batch_size": 100, "lif": {"v_th": 0.3},
+        "sbp": {"tau_w": 40.0, "delta_includes_decay": False},
+    })
+    assert make_run_id(cfg, "train") == "30b6ce32319f"
+
+
 # --- loss sanity ------------------------------------------------------------
 
 
@@ -110,7 +137,7 @@ def test_first_batch_loss_is_log_num_classes_for_zero_init():
     cfg.layer_sizes = [20, 16, 10]
     cfg.batch_size = 8
     cfg.validate()
-    net = init_network(cfg.layer_sizes, seed=0, lif=cfg.lif, sbp=cfg.sbp, zero_weights=True)
+    net = zero_network(cfg.layer_sizes, cfg.lif, cfg.sbp)
     metrics = train_epoch(net, data, cfg, Adam(cfg.lr), make_rng(1))
     assert abs(metrics.batch_losses[0] - math.log(10)) <= 1e-9
 
