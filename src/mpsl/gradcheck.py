@@ -1,5 +1,6 @@
-"""Agreement of window.backward with the forward-tangent oracle
-(reference_grad.py) over random small networks."""
+"""Agreement of the training step's gradients (window.backward and
+trainer.step_gradients) with the forward-tangent oracle (reference_grad.py)
+over random small networks."""
 
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from .neuron import LifConfig
 from .numerics import make_rng
 from .plasticity import SbpParams
 from .reference_grad import reference_gradients
-from .window import backward, record_forward
+from .trainer import step_gradients
 
 REL_TOL = 1e-6
 # gradients whose magnitude never exceeds this are compared absolutely
@@ -47,45 +48,61 @@ def group_error(a: np.ndarray, b: np.ndarray) -> float:
     return float((diff[live] / scale[live]).max())
 
 
-def random_trial_net(seed: int, t_steps: int = 3) -> tuple[Network, np.ndarray, int]:
-    """A 2-layer network small enough for the per-parameter oracle, with
-    weights scaled so membrane potentials land inside the surrogate window."""
-    rng = make_rng(seed)
-    n_in = int(rng.integers(3, 7))
-    n_hidden = int(rng.integers(2, 9))
-    n_out = int(rng.integers(2, 9))
+def _scaled_net(rng: np.random.Generator, sizes: list[int]) -> Network:
+    """A network small enough for the per-parameter oracle, with weights
+    scaled so membrane potentials land inside the surrogate window."""
     lif = LifConfig(v_th=0.3, rho_m=0.5, a=1.0, dt=1.0)
     sbp = SbpParams(
         lambda_f=float(rng.uniform(0.2, 0.9)),
         lambda_p=float(rng.uniform(0.2, 0.9)),
         tau_w=float(rng.uniform(5.0, 80.0)),
     )
-    net = init_network([n_in, n_hidden, n_out], int(rng.integers(1 << 31)), lif, sbp)
+    net = init_network(sizes, int(rng.integers(1 << 31)), lif, sbp)
     for layer in net.layers:
         layer.lam = rng.uniform(0.15, 0.5, size=3)
         layer.eta = np.array(float(rng.uniform(0.005, 0.05)))
         layer.beta = np.array(float(rng.uniform(-0.2, 0.2)))
-    x = rng.uniform(0.0, 1.0, size=n_in)
-    label = int(rng.integers(n_out))
-    return net, x, label
+    return net
 
 
-def run_gradcheck(
-    trials: int,
-    seed: int,
-    *,
-    t_steps: int = 3,
-    surrogate_width_scale: float = 1.0,
-) -> GradcheckResult:
+def random_trial_net(seed: int) -> tuple[Network, np.ndarray, int]:
+    """A 2-layer oracle-sized network with one input item and its label."""
+    rng = make_rng(seed)
+    sizes = [int(rng.integers(3, 7)), int(rng.integers(2, 9)), int(rng.integers(2, 9))]
+    net = _scaled_net(rng, sizes)
+    x = rng.uniform(0.0, 1.0, size=sizes[0])
+    return net, x, int(rng.integers(sizes[-1]))
+
+
+def random_trial(seed: int) -> tuple[Network, np.ndarray, np.ndarray, int, bool]:
+    """One gradcheck trial (net, x, labels, t_steps, per_item) at the shapes
+    training runs: depth 2-3, batch 1-4, T 1-4, either delta_includes_decay
+    mode, one trial in eight with a silent input, and one in four a
+    per-item step over the batch's items."""
+    rng = make_rng(seed)
+    depth, batch, t_steps = (int(v) for v in rng.integers((2, 1, 1), (4, 5, 5)))
+    sizes = [int(rng.integers(3, 7))] + [int(v) for v in rng.integers(2, 9, size=depth)]
+    net = _scaled_net(rng, sizes)
+    net.sbp.delta_includes_decay = bool(rng.integers(2))
+    x = rng.uniform(0.0, 1.0, size=(batch, sizes[0]))
+    if rng.uniform() < 0.125:
+        x[:] = 0.0
+    labels = rng.integers(sizes[-1], size=batch)
+    return net, x, labels, t_steps, bool(rng.uniform() < 0.25)
+
+
+def run_gradcheck(trials: int, seed: int, *, surrogate_width_scale: float = 1.0) -> GradcheckResult:
+    """Each trial's step gradients, as train_epoch forms them, against the
+    oracle's."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     result = GradcheckResult(trials=trials)
     for k in range(trials):
         trial_seed = seed + k
-        net, x, label = random_trial_net(trial_seed, t_steps)
-        window, _counts = record_forward(net, x, label, t_steps)
-        got = backward(window, surrogate_width_scale=surrogate_width_scale)
-        want = reference_gradients(net, x, label, t_steps)
+        net, x, labels, t_steps, per_item = random_trial(trial_seed)
+        want = reference_gradients(net, x, labels, t_steps, per_item=per_item)
+        _loss, got, _counts = step_gradients(net, x, labels, t_steps, per_item,
+                                             surrogate_width_scale=surrogate_width_scale)
         for name in got:
             err = group_error(got[name], want[name])
             if err > result.worst_err:

@@ -2,12 +2,12 @@
 scalar parameter.
 
 This deliberately shares no code with the hand-written reverse in
-window.py. It re-walks the whole training window for a single input,
-carrying (value, tangent) pairs, and applies the same conventions that
-reverse uses at the two non-smooth points: the spike derivative is the
-rectangular window (1/a on |U - v_th| < a/2, strictly), and a
-normalization whose input sums to less than 1e-8 in magnitude is treated
-as the constant zero vector.
+window.py. It re-walks the whole training window for a [batch x n_in]
+input with batch-mean Hebbian increments, carrying (value, tangent) pairs
+in dense matrices, and applies the same conventions that reverse uses at
+the two non-smooth points: the spike derivative is the rectangular window
+(1/a on |U - v_th| < a/2, strictly), and a normalization whose input sums
+to less than 1e-8 in magnitude is treated as the constant zero vector.
 
 Finite differences on the hard network would NOT validate the surrogate
 gradients (the true loss is piecewise constant), which is why the oracle
@@ -27,7 +27,9 @@ from .network import Network
 _EPS_SUM = 1e-8
 
 
-def _window_loss_tangent(net: Network, x, label, t_steps, coord, spike_identity) -> float:
+def _window_loss_tangent(net: Network, w2, w3, x, labels, t_steps, coord, spike_identity):
+    """(d loss / d coord, final W2, final W3) of one window that starts
+    from the W2/W3 lists w2, w3."""
     lif = net.lif
     rho, v_th, a = lif.rho_m, lif.v_th, lif.a
     decay = math.exp(-lif.dt / net.sbp.tau_w)
@@ -35,8 +37,8 @@ def _window_loss_tangent(net: Network, x, label, t_steps, coord, spike_identity)
     n_layers = len(net.layers)
 
     w1v = [layer.w1.copy() for layer in net.layers]
-    w2v = [layer.w2.copy() for layer in net.layers]
-    w3v = [layer.w3.copy() for layer in net.layers]
+    w2v = [w.copy() for w in w2]
+    w3v = [w.copy() for w in w3]
     lamv = [layer.lam.copy() for layer in net.layers]
     etav = [float(layer.eta) for layer in net.layers]
     betav = [float(layer.beta) for layer in net.layers]
@@ -68,24 +70,26 @@ def _window_loss_tangent(net: Network, x, label, t_steps, coord, spike_identity)
     else:
         raise ValueError(f"unknown parameter coordinate {coord!r}")
 
-    uv = [np.zeros(layer.fan_out) for layer in net.layers]
-    ut = [np.zeros(layer.fan_out) for layer in net.layers]
-    sv = [np.zeros(layer.fan_out) for layer in net.layers]
-    st = [np.zeros(layer.fan_out) for layer in net.layers]
+    batch = x.shape[0]
+    units = [(batch, layer.fan_out) for layer in net.layers]
+    uv = [np.zeros(shape) for shape in units]
+    ut = [np.zeros(shape) for shape in units]
+    sv = [np.zeros(shape) for shape in units]
+    st = [np.zeros(shape) for shape in units]
     dw2v = [None] * n_layers
     dw2t = [None] * n_layers
-    counts_v = np.zeros(net.layers[-1].fan_out)
-    counts_t = np.zeros(net.layers[-1].fan_out)
+    counts_v = np.zeros(units[-1])
+    counts_t = np.zeros(units[-1])
 
     for _t in range(t_steps):
-        sin_v, sin_t = np.asarray(x, dtype=np.float64), np.zeros(len(x))
+        sin_v, sin_t = x, np.zeros_like(x)
         for l in range(n_layers):
-            a1 = w1v[l] @ sin_v
-            a2 = w2v[l] @ sin_v
-            a3 = w3v[l] @ sin_v
-            a1t = w1t[l] @ sin_v + w1v[l] @ sin_t
-            a2t = w2t[l] @ sin_v + w2v[l] @ sin_t
-            a3t = w3t[l] @ sin_v + w3v[l] @ sin_t
+            a1 = sin_v @ w1v[l].T
+            a2 = sin_v @ w2v[l].T
+            a3 = sin_v @ w3v[l].T
+            a1t = sin_v @ w1t[l].T + sin_t @ w1v[l].T
+            a2t = sin_v @ w2t[l].T + sin_t @ w2v[l].T
+            a3t = sin_v @ w3t[l].T + sin_t @ w3v[l].T
             iv = lamv[l][0] * a1 + lamv[l][1] * a2 + lamv[l][2] * a3
             it = (
                 lamt[l][0] * a1 + lamv[l][0] * a1t
@@ -104,10 +108,11 @@ def _window_loss_tangent(net: Network, x, label, t_steps, coord, spike_identity)
             sig_t = sig * (1.0 - sig) * u_tan
             pv = sig + betav[l]
             pt = sig_t + betat[l]
-            inc_v = etav[l] * np.outer(pv, sin_v)
-            inc_t = etat[l] * np.outer(pv, sin_v) + etav[l] * (
-                np.outer(pt, sin_v) + np.outer(pv, sin_t)
-            )
+            # batch means of the outer products post_b x in_b
+            corr_v = pv.T @ sin_v / batch
+            corr_t = (pt.T @ sin_v + pv.T @ sin_t) / batch
+            inc_v = etav[l] * corr_v
+            inc_t = etat[l] * corr_v + etav[l] * corr_t
             w2_new_v = decay * w2v[l] + inc_v
             w2_new_t = decay * w2t[l] + inc_t
             if includes_decay:
@@ -144,22 +149,45 @@ def _window_loss_tangent(net: Network, x, label, t_steps, coord, spike_identity)
         counts_v = counts_v + sv[-1]
         counts_t = counts_t + st[-1]
 
-    shifted = counts_v - counts_v.max()
-    probs = np.exp(shifted) / np.exp(shifted).sum()
-    grad_counts = probs.copy()
-    grad_counts[label] -= 1.0
-    return float(grad_counts @ counts_t)
+    # the loss is the batch mean of the per-item cross-entropies
+    shifted = counts_v - counts_v.max(axis=1, keepdims=True)
+    probs = np.exp(shifted) / np.exp(shifted).sum(axis=1, keepdims=True)
+    probs[np.arange(batch), labels] -= 1.0
+    return float((probs * counts_t).sum() / batch), w2v, w3v
 
 
 def reference_gradients(
-    net: Network, x, label: int, t_steps: int, *, spike_identity: bool = False
+    net: Network, x, labels, t_steps: int, *, per_item: bool = False,
+    spike_identity: bool = False,
 ) -> dict[str, np.ndarray]:
     """Loss gradients for every learnable, each from its own tangent pass,
-    keyed like Network.named_parameters()."""
+    keyed like Network.named_parameters(). x is [batch x n_in] (a 1-D item
+    is batch 1) and labels holds one class per item.
 
-    def d(coord) -> float:
-        return _window_loss_tangent(net, x, label, t_steps, coord, spike_identity)
+    per_item gives the gradient of a sequential_plasticity step instead: the
+    mean over items of each item's window gradients, each item's window
+    starting from the W2/W3 that the previous item's window left."""
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
+    windows = [(x[i : i + 1], labels[i : i + 1]) for i in range(len(x))] if per_item else [(x, labels)]
+    state = [[layer.w2 for layer in net.layers], [layer.w3 for layer in net.layers]]
+    total: dict[str, np.ndarray] = {}
+    for xs, ys in windows:
+        start = list(state)
 
+        def d(coord) -> float:
+            value, *state[:] = _window_loss_tangent(net, *start, xs, ys, t_steps, coord,
+                                                    spike_identity)
+            return value
+
+        for name, grad in _gradients(net, d).items():
+            total[name] = total[name] + grad if name in total else grad
+    return {name: grad / len(windows) for name, grad in total.items()}
+
+
+def _gradients(net: Network, d) -> dict[str, np.ndarray]:
+    """Every learnable's gradient from d(coord), the loss derivative along
+    one parameter coordinate."""
     grads: dict[str, np.ndarray] = {}
     for l, layer in enumerate(net.layers):
         w1g = np.zeros_like(layer.w1)

@@ -305,18 +305,6 @@ class EpochMetrics:
     batch_losses: list[float] = field(default_factory=list)
 
 
-def _train_window(net: Network, x: np.ndarray, labels, cfg: TrainConfig,
-                  events: list | None) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
-    """Record and reverse one window, then hand its final W2/W3 to the
-    network. Returns (loss, gradients, output spike counts)."""
-    window, counts = record_forward(net, x, labels, cfg.t_steps, events=events)
-    grads = backward(window)
-    for idx, layer in enumerate(net.layers):
-        layer.w2 = window.final_w2[idx]
-        layer.w3 = window.final_w3[idx]
-    return window.loss_value, grads, counts
-
-
 def _state_norms(net: Network) -> dict[str, float]:
     return {name: float(np.linalg.norm(arr)) for name, arr in net.named_state().items()}
 
@@ -345,6 +333,33 @@ def _mean_gradient_dicts(dicts: list[dict[str, np.ndarray]]) -> dict[str, np.nda
     return out
 
 
+def step_gradients(
+    net: Network, x: np.ndarray, labels, t_steps: int, per_item: bool, *,
+    events: list | None = None, surrogate_width_scale: float = 1.0,
+) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
+    """The windows of one optimizer step: their mean loss, their mean
+    gradients keyed like Network.named_parameters(), and the output spike
+    counts [batch x classes].
+
+    A batched step is one window over x. A per-item step runs one window per
+    item, each continuing the W2/W3 that the previous one left. Each window
+    hands its final W2/W3 to the network. surrogate_width_scale is passed to
+    backward (the gradcheck negative control).
+    """
+    windows = ([(x[i : i + 1], labels[i : i + 1]) for i in range(len(labels))]
+               if per_item else [(x, labels)])
+    losses, grad_dicts, counts = [], [], []
+    for xs, ys in windows:
+        window, window_counts = record_forward(net, xs, ys, t_steps, events=events)
+        grad_dicts.append(backward(window, surrogate_width_scale=surrogate_width_scale))
+        for idx, layer in enumerate(net.layers):
+            layer.w2 = window.final_w2[idx]
+            layer.w3 = window.final_w3[idx]
+        losses.append(window.loss_value)
+        counts.append(window_counts)
+    return float(np.mean(losses)), _mean_gradient_dicts(grad_dicts), np.concatenate(counts)
+
+
 def train_epoch(
     net: Network,
     data: Dataset,
@@ -363,22 +378,9 @@ def train_epoch(
         idx = order[start : start + cfg.batch_size]
         x = data.images[idx]
         y = data.labels[idx]
-        if cfg.sequential_plasticity:
-            grad_dicts = []
-            losses = []
-            preds = []
-            for item in range(len(idx)):
-                item_loss, item_grads, counts = _train_window(net, x[item], int(y[item]),
-                                                              cfg, events)
-                losses.append(item_loss)
-                grad_dicts.append(item_grads)
-                preds.append(int(np.argmax(counts[0])))
-            loss = float(np.mean(losses))
-            grads = _mean_gradient_dicts(grad_dicts)
-            correct = int(np.sum(np.asarray(preds) == y))
-        else:
-            loss, grads, counts = _train_window(net, x, y, cfg, events)
-            correct = int(np.sum(np.argmax(counts, axis=1) == y))
+        loss, grads, counts = step_gradients(net, x, y, cfg.t_steps,
+                                             cfg.sequential_plasticity, events=events)
+        correct = int(np.sum(np.argmax(counts, axis=1) == y))
         if not math.isfinite(loss):
             raise NumericAbortError(
                 f"non-finite loss {loss} in batch {batch_index}", batch_index, _state_norms(net)

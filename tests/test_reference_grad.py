@@ -1,7 +1,7 @@
 import numpy as np
 import numpy.testing as npt
 
-from mpsl.gradcheck import group_error, random_trial_net, run_gradcheck
+from mpsl.gradcheck import group_error, random_trial, random_trial_net, run_gradcheck
 from mpsl.neuron import LifConfig
 from mpsl.plasticity import SbpParams
 from mpsl.reference_grad import reference_gradients
@@ -45,6 +45,22 @@ def test_backward_agrees_with_oracle_on_random_networks():
     result = run_gradcheck(trials=10, seed=1234)
     assert result.passed, result.failures
     assert result.worst_err <= 1e-6
+
+
+def test_gradcheck_draws_cover_the_training_shapes():
+    # the default `mpsl gradcheck` trials reach batch > 1, depth 3, every
+    # window length 1-4, both decay modes, a silent input and a per-item step
+    seen = set()
+    for k in range(50):
+        net, x, labels, t_steps, per_item = random_trial(20240501 + k)
+        assert x.shape == (len(labels), net.layers[0].fan_in)
+        seen |= {("depth", len(net.layers)), ("batch > 1", x.shape[0] > 1), ("T", t_steps),
+                 ("decay", net.sbp.delta_includes_decay), ("silent", not x.any()),
+                 ("per-item step over > 1 item", per_item and x.shape[0] > 1)}
+    for case in (("depth", 2), ("depth", 3), ("batch > 1", True), ("T", 1), ("T", 4),
+                 ("decay", True), ("decay", False), ("silent", True),
+                 ("per-item step over > 1 item", True)):
+        assert case in seen, case
 
 
 def test_agreement_in_pure_increment_mode():
