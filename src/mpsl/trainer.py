@@ -324,6 +324,8 @@ def _project_fraction_factors(net: Network) -> None:
 
 
 def _mean_gradient_dicts(dicts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
+    """Entry-wise mean of the windows' gradient dicts; layer 1's W1 gradient
+    is not among them (see input_w1_gradient)."""
     out = {}
     for name in dicts[0]:
         total = dicts[0][name].astype(np.float64, copy=True)
@@ -331,6 +333,16 @@ def _mean_gradient_dicts(dicts: list[dict[str, np.ndarray]]) -> dict[str, np.nda
             total += d[name]
         out[name] = total / len(dicts)
     return out
+
+
+def input_w1_gradient(factors: np.ndarray, x: np.ndarray, windows: int) -> np.ndarray:
+    """Layer 1's W1 gradient of an optimizer step: the mean over its windows
+    of F_i^T x_i, formed as one product of the stacked W1 factors
+    [rows x units] with the step's inputs [rows x n_in]. A batched step is
+    one window; a per-item step is one window per row."""
+    grad = factors.T @ x
+    grad /= windows
+    return grad
 
 
 def step_gradients(
@@ -346,18 +358,23 @@ def step_gradients(
     hands its final W2/W3 to the network. surrogate_width_scale is passed to
     backward (the gradcheck negative control).
     """
+    x = np.asarray(x, dtype=np.float64)
     windows = ([(x[i : i + 1], labels[i : i + 1]) for i in range(len(labels))]
                if per_item else [(x, labels)])
-    losses, grad_dicts, counts = [], [], []
+    losses, grad_dicts, factors, counts = [], [], [], []
     for xs, ys in windows:
         window, window_counts = record_forward(net, xs, ys, t_steps, events=events)
-        grad_dicts.append(backward(window, surrogate_width_scale=surrogate_width_scale))
+        grads, factor = backward(window, surrogate_width_scale=surrogate_width_scale)
         for idx, layer in enumerate(net.layers):
             layer.w2 = window.final_w2[idx]
             layer.w3 = window.final_w3[idx]
         losses.append(window.loss_value)
+        grad_dicts.append(grads)
+        factors.append(factor)
         counts.append(window_counts)
-    return float(np.mean(losses)), _mean_gradient_dicts(grad_dicts), np.concatenate(counts)
+    grads = _mean_gradient_dicts(grad_dicts)
+    grads["layers.0.w1"] = input_w1_gradient(np.concatenate(factors), x, len(windows))
+    return float(np.mean(losses)), grads, np.concatenate(counts)
 
 
 def train_epoch(

@@ -1,9 +1,12 @@
-"""Shared test helpers: a zero-weight network, the expected event schedule
-of one training batch, and metrics files without their wall-clock column."""
+"""Shared test helpers: a zero-weight network, one window's full
+gradients, the expected event schedule of one training batch, and metrics
+files without their wall-clock column."""
 
 from pathlib import Path
 
 from mpsl.network import init_network
+from mpsl.trainer import input_w1_gradient
+from mpsl.window import backward
 
 
 def zero_network(layer_sizes, lif, sbp):
@@ -13,6 +16,13 @@ def zero_network(layer_sizes, lif, sbp):
         for w in (layer.w1, layer.w2, layer.w3):
             w[...] = 0.0
     return net
+
+
+def window_gradients(window, **kwargs):
+    """backward's gradients with layer 1's W1 gradient formed as a one-window
+    optimizer step forms it."""
+    grads, factor = backward(window, **kwargs)
+    return {"layers.0.w1": input_w1_gradient(factor, window.x, 1), **grads}
 
 
 def canonical_batch_events(t_steps: int, n_layers: int) -> list[tuple]:

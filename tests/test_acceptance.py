@@ -164,8 +164,9 @@ def test_criterion_1_plasticity_oracle_equality():
     t0 = time.perf_counter()
     worst = flipped_worst = 0.0
     coverage = Counter()
-    for trial in range(100):
-        sizes = [int(v) for v in rng.integers(1, 8, size=int(rng.integers(3, 5)))]
+    for trial in range(150):
+        # depth 1-3: at depth 1 the input layer is also the top layer
+        sizes = [int(v) for v in rng.integers(1, 8, size=int(rng.integers(2, 5)))]
         t_steps = int(rng.integers(1, 5))
         batch = int(rng.integers(1, 5))
         includes_decay = bool(rng.integers(2))
@@ -204,15 +205,16 @@ def test_criterion_1_plasticity_oracle_equality():
         coverage.update({k: 1 for k in trial_coverage})
         coverage["includes decay" if includes_decay else "pure increment"] += 1
         coverage["batch > 1"] += batch > 1
+        coverage["depth 1"] += len(sizes) == 2
         coverage["sequential"] += sequential
     seconds = time.perf_counter() - t0
     assert worst <= 1e-12
     assert flipped_worst > 1e-12, "oracle with the decay mode flipped still agrees"
     for case in ("top layer", "degenerate normalization", "includes decay",
-                 "pure increment", "batch > 1", "sequential"):
+                 "pure increment", "batch > 1", "sequential", "depth 1"):
         assert coverage[case] >= 1, f"no trial covered: {case}"
     assert seconds < 5.0
-    _report(1, f"100 train_epoch windows, max abs error {worst:.2e} "
+    _report(1, f"150 train_epoch windows, max abs error {worst:.2e} "
                f"(flipped decay mode: {flipped_worst:.2e}) in {seconds:.2f}s; "
                f"trials per case {dict(sorted(coverage.items()))}")
 

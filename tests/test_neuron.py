@@ -6,9 +6,9 @@ from mpsl.network import init_network
 from mpsl.neuron import LifConfig, fused_input, membrane_step, spike
 from mpsl.numerics import make_rng
 from mpsl.plasticity import MultiPathLayer, SbpParams
-from mpsl.window import backward, record_forward
+from mpsl.window import record_forward
 
-from helpers import zero_network
+from helpers import window_gradients, zero_network
 
 
 def make_layer(w1, w2, w3, lam):
@@ -81,7 +81,7 @@ def surrogate_check(u0, a=1.0):
     window, counts = record_forward(net, np.array([1.0]), 1, t_steps=1)
     npt.assert_array_equal(window.u[0][0], [[u0, 0.0]])
     p = np.exp(counts[0]) / np.exp(counts[0]).sum()
-    return float(backward(window)["layers.0.w1"][0, 0]), float(p[0])
+    return float(window_gradients(window)["layers.0.w1"][0, 0]), float(p[0])
 
 
 def test_surrogate_window_boundary():

@@ -5,9 +5,9 @@ from mpsl.gradcheck import group_error, random_trial, random_trial_net, run_grad
 from mpsl.neuron import LifConfig
 from mpsl.plasticity import SbpParams
 from mpsl.reference_grad import reference_gradients
-from mpsl.window import backward, record_forward
+from mpsl.window import record_forward
 
-from helpers import zero_network
+from helpers import window_gradients, zero_network
 
 
 def test_zero_network_has_zero_gradients():
@@ -67,7 +67,7 @@ def test_agreement_in_pure_increment_mode():
     net, x, label = random_trial_net(301)
     net.sbp.delta_includes_decay = False
     window, _ = record_forward(net, x, label, t_steps=3)
-    got = backward(window)
+    got = window_gradients(window)
     want = reference_gradients(net, x, label, t_steps=3)
     for name in got:
         assert group_error(got[name], want[name]) <= 1e-6, name
@@ -76,7 +76,7 @@ def test_agreement_in_pure_increment_mode():
 def test_agreement_with_identity_spike_double():
     net, x, label = random_trial_net(57)
     window, _ = record_forward(net, x, label, t_steps=2, spike_identity=True)
-    got = backward(window)
+    got = window_gradients(window)
     want = reference_gradients(net, x, label, t_steps=2, spike_identity=True)
     for name in got:
         assert group_error(got[name], want[name]) <= 1e-6, name

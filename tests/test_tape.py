@@ -2,17 +2,20 @@
 and the reuse of its workspace."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 
+from mpsl import window as window_module
 from mpsl.gradcheck import group_error, random_trial_net
+from mpsl.network import init_network
 from mpsl.neuron import LifConfig
 from mpsl.numerics import make_rng
 from mpsl.plasticity import SbpParams
 from mpsl.window import backward, record_forward
 
-from helpers import zero_network
+from helpers import window_gradients, zero_network
 from oracles import window_oracle
 
 
@@ -34,7 +37,7 @@ def test_dead_surrogate_means_zero_gradients():
     net.lif = LifConfig(v_th=50.0, rho_m=0.5, a=1.0)
     window, counts = record_forward(net, x, label, t_steps=3)
     npt.assert_array_equal(counts, np.zeros_like(counts))
-    for name, grad in backward(window).items():
+    for name, grad in window_gradients(window).items():
         npt.assert_array_equal(grad, np.zeros_like(grad), err_msg=name)
 
 
@@ -48,7 +51,7 @@ def test_identity_spike_single_step_matches_closed_form():
     x = rng.uniform(size=4)
     label = 2
     window, counts = record_forward(net, x, label, t_steps=1, spike_identity=True)
-    grads = backward(window)
+    grads = window_gradients(window)
 
     o = net.layers[0].w1 @ x
     npt.assert_allclose(counts[0], o, rtol=0, atol=1e-15)
@@ -62,8 +65,8 @@ def test_identity_spike_single_step_matches_closed_form():
 def test_backward_is_deterministic():
     net, x, label = random_trial_net(21)
     window, _ = record_forward(net, x, label, t_steps=3)
-    first = backward(window)
-    second = backward(window)
+    first = window_gradients(window)
+    second = window_gradients(window)
     for name in first:
         npt.assert_array_equal(first[name], second[name])
 
@@ -75,18 +78,18 @@ def test_gradient_locality_before_first_use():
              "lambda_f", "lambda_p")
     for seed in range(20):
         net, x, label = random_trial_net(seed)
-        one = backward(record_forward(net, x, label, t_steps=1)[0])
+        one = window_gradients(record_forward(net, x, label, t_steps=1)[0])
         for name in local:
             assert one[name] == 0.0, (seed, name)
         assert np.abs(one["layers.0.w1"]).max() > 0.0, seed
-        two = backward(record_forward(net, x, label, t_steps=2)[0])
+        two = window_gradients(record_forward(net, x, label, t_steps=2)[0])
         assert any(two[name] != 0.0 for name in local), seed
 
 
 def test_local_learnables_receive_gradient_through_recorded_updates():
     net, x, label = random_trial_net(45)
     window, _ = record_forward(net, x, label, t_steps=3)
-    grads = backward(window)
+    grads = window_gradients(window)
     live = [abs(float(grads[f"layers.{i}.eta"])) + abs(float(grads[f"layers.{i}.beta"]))
             for i in range(len(net.layers))]
     assert max(live) > 0.0
@@ -139,13 +142,34 @@ def test_windows_alive_together_keep_their_own_state():
     alone = []
     for inp in (x, x2):
         window, counts = record_forward(net, inp, label, t_steps=3)
-        results = [counts, *backward(window).values(), *window.final_w2, *window.final_w3]
+        results = [counts, *window_gradients(window).values(), *window.final_w2,
+                   *window.final_w3]
         alone.append((results, [r.copy() for r in results]))
         del window
     first, _ = record_forward(net, x, label, t_steps=3)
     second, _ = record_forward(net, x2, label, t_steps=3)
     for window, (results, copies) in zip((second, first), reversed(alone)):
-        again = [window.counts, *backward(window).values(), *window.final_w2, *window.final_w3]
+        again = [window.counts, *window_gradients(window).values(), *window.final_w2,
+                 *window.final_w3]
         for got, kept, want in zip(again, results, copies):
             npt.assert_array_equal(got, want)
             npt.assert_array_equal(kept, want)
+
+
+def test_desk_window_peak_memory():
+    # layer 1 keeps its plastic state as [batch x units] drives: one window
+    # at the desk shape (784-256-10, T=8, batch 100) with a fresh workspace
+    # peaks below 30 MB, where per-step 256x784 W2/W3 histories took 78 MB
+    rng = make_rng(8)
+    net = init_network([784, 256, 10], seed=1, lif=LifConfig(), sbp=SbpParams())
+    x = (rng.uniform(size=(100, 784)) < 0.2) * rng.uniform(size=(100, 784))
+    labels = rng.integers(10, size=100)
+    window_module._spare.clear()
+    tracemalloc.start()
+    try:
+        window, _ = record_forward(net, x, labels, t_steps=8)
+        backward(window)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30e6, peak

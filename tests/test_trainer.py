@@ -11,6 +11,7 @@ from mpsl.network import forward_inference, init_network
 from mpsl.neuron import LifConfig, fused_input, membrane_step, spike
 from mpsl.numerics import make_rng
 from mpsl.plasticity import SbpParams, merge_weights
+from mpsl.window import backward, record_forward
 from mpsl.trainer import (
     Adam,
     ConfigError,
@@ -21,6 +22,7 @@ from mpsl.trainer import (
     network_from_config,
     run_ablation,
     run_training,
+    step_gradients,
     train_epoch,
 )
 
@@ -249,6 +251,27 @@ def test_sequential_mode_matches_batched_steps_at_batch_size_one():
         npt.assert_allclose(grads[name], ref_grads[name], rtol=0, atol=1e-12, err_msg=name)
     for w, ref in zip(plastic, ref_plastic):
         npt.assert_allclose(w, ref, rtol=0, atol=1e-12)
+
+
+def test_per_item_w1_gradient_is_the_mean_of_per_item_products():
+    # a per-item step forms layer 1's W1 gradient as one product over its 10
+    # items; it must equal the mean of each item's own factor^T x product
+    rng = make_rng(23)
+    net = init_network([784, 256, 10], seed=2, lif=LifConfig(), sbp=SbpParams())
+    x = (rng.uniform(size=(10, 784)) < 0.2) * rng.uniform(size=(10, 784))
+    labels = rng.integers(10, size=10)
+    item_net = copy.deepcopy(net)
+    _loss, grads, _counts = step_gradients(net, x, labels, 8, per_item=True)
+    products = []
+    for i in range(10):
+        window, _ = record_forward(item_net, x[i], labels[i], 8)
+        _grads, factor = backward(window)
+        products.append(factor.T @ x[i : i + 1])
+        for layer, w2, w3 in zip(item_net.layers, window.final_w2, window.final_w3):
+            layer.w2, layer.w3 = w2, w3
+    want = np.mean(products, axis=0)
+    assert np.abs(want).max() > 1e-6
+    npt.assert_allclose(grads["layers.0.w1"], want, rtol=0, atol=1e-12)
 
 
 def test_sequential_mode_differs_from_batched_for_larger_batches():
