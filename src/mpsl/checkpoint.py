@@ -139,7 +139,7 @@ def load_checkpoint(path) -> Checkpoint:
         for dim in dims:
             count *= dim
         payload = np.frombuffer(r.take(count * 8), dtype="<f8")
-        entries[name] = payload.astype(np.float64).reshape(dims).copy()
+        entries[name] = payload.astype(np.float64).reshape(dims)  # astype copies
     return Checkpoint(
         config_json=config_json,
         config_hash=stored_hash,

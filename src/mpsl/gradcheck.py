@@ -1,6 +1,5 @@
-"""Agreement of the training step's gradients (window.backward and
-trainer.step_gradients) with the forward-tangent oracle (reference_grad.py)
-over random small networks."""
+"""Agreement of the training step's gradients (trainer.step_gradients) with
+the forward-tangent oracle (reference_grad.py) over random small networks."""
 
 from __future__ import annotations
 
@@ -48,7 +47,7 @@ def group_error(a: np.ndarray, b: np.ndarray) -> float:
     return float((diff[live] / scale[live]).max())
 
 
-def _scaled_net(rng: np.random.Generator, sizes: list[int]) -> Network:
+def scaled_net(rng: np.random.Generator, sizes: list[int]) -> Network:
     """A network small enough for the per-parameter oracle, with weights
     scaled so membrane potentials land inside the surrogate window."""
     lif = LifConfig(v_th=0.3, rho_m=0.5, a=1.0, dt=1.0)
@@ -65,24 +64,14 @@ def _scaled_net(rng: np.random.Generator, sizes: list[int]) -> Network:
     return net
 
 
-def random_trial_net(seed: int) -> tuple[Network, np.ndarray, int]:
-    """A 2-layer oracle-sized network with one input item and its label."""
-    rng = make_rng(seed)
-    sizes = [int(rng.integers(3, 7)), int(rng.integers(2, 9)), int(rng.integers(2, 9))]
-    net = _scaled_net(rng, sizes)
-    x = rng.uniform(0.0, 1.0, size=sizes[0])
-    return net, x, int(rng.integers(sizes[-1]))
-
-
 def random_trial(seed: int) -> tuple[Network, np.ndarray, np.ndarray, int, bool]:
     """One gradcheck trial (net, x, labels, t_steps, per_item) at the shapes
     training runs: depth 2-3, batch 1-4, T 1-4, either delta_includes_decay
-    mode, one trial in eight with a silent input, and one in four a
-    per-item step over the batch's items."""
+    mode; one trial in eight has a silent input, one in four is per item."""
     rng = make_rng(seed)
     depth, batch, t_steps = (int(v) for v in rng.integers((2, 1, 1), (4, 5, 5)))
     sizes = [int(rng.integers(3, 7))] + [int(v) for v in rng.integers(2, 9, size=depth)]
-    net = _scaled_net(rng, sizes)
+    net = scaled_net(rng, sizes)
     net.sbp.delta_includes_decay = bool(rng.integers(2))
     x = rng.uniform(0.0, 1.0, size=(batch, sizes[0]))
     if rng.uniform() < 0.125:
@@ -92,8 +81,6 @@ def random_trial(seed: int) -> tuple[Network, np.ndarray, np.ndarray, int, bool]
 
 
 def run_gradcheck(trials: int, seed: int, *, surrogate_width_scale: float = 1.0) -> GradcheckResult:
-    """Each trial's step gradients, as train_epoch forms them, against the
-    oracle's."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     result = GradcheckResult(trials=trials)

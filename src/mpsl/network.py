@@ -110,24 +110,28 @@ def forward_inference(
     Layer 1's drive is computed once and read at every step. This is exact:
     x and the frozen weights do not change between steps, so one product
     has the bytes that a product at every step would, and membrane_step
-    reads the drive without writing to it.
+    reads the drive without writing to it. The LIF step writes into arrays
+    made once per call.
     """
     batch = x.shape[0]
     lif = net.lif
     merged_w = [merge_weights(layer) for layer in net.layers] if merged else None
     drive_in = x @ merged_w[0].T if merged else fused_input(net.layers[0], x)
-    u = [np.zeros((batch, layer.fan_out)) for layer in net.layers]
-    s = [np.zeros((batch, layer.fan_out)) for layer in net.layers]
+    shapes = [(batch, layer.fan_out) for layer in net.layers]
+    u = [np.zeros(shape) for shape in shapes]
+    u_spare = [np.empty(shape) for shape in shapes]  # the next step's potentials
+    s = [np.zeros(shape) for shape in shapes]
+    drive = [drive_in] + [np.empty(shape) for shape in shapes[1:]]
     counts = np.zeros((batch, net.num_classes))
     for _t in range(t_steps):
-        i_in = drive_in
         for idx, layer in enumerate(net.layers):
-            if idx:
-                s_in = s[idx - 1]
-                i_in = s_in @ merged_w[idx].T if merged else fused_input(layer, s_in)
-            u[idx] = membrane_step(u[idx], s[idx], i_in, lif)
-            s[idx] = spike(u[idx], lif)
+            if idx and merged:
+                np.matmul(s[idx - 1], merged_w[idx].T, out=drive[idx])
+            elif idx:
+                drive[idx] = fused_input(layer, s[idx - 1])
+            u_new = membrane_step(u[idx], s[idx], drive[idx], lif, out=u_spare[idx])
+            u_spare[idx], u[idx] = u[idx], u_new
+            spike(u_new, lif, out=s[idx])
         counts += s[-1]
     penultimate_u = u[-2] if len(net.layers) >= 2 else u[-1]
     return counts, penultimate_u
-

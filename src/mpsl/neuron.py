@@ -40,28 +40,22 @@ class LifConfig:
 
 
 def spike(u: np.ndarray, cfg: LifConfig, out: np.ndarray | None = None) -> np.ndarray:
-    """Binary spike train: 1.0 where U >= v_th, else 0.0; written into out
-    when given."""
-    if out is None:
-        return (u >= cfg.v_th).astype(np.float64)
-    return np.greater_equal(u, cfg.v_th, out=out)
+    """Binary spike train: 1.0 where U >= v_th, else 0.0 (into out if given)."""
+    return np.greater_equal(u, cfg.v_th, out=np.empty(u.shape) if out is None else out)
 
 
 def membrane_step(
     u_prev: np.ndarray, s_prev: np.ndarray, i_in: np.ndarray, cfg: LifConfig,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Leaky soft-reset update: U = rho_m * (U_prev - S_prev * v_th) + I.
-
-    With out, the same ufuncs run in the same order inside out, which must
-    not share memory with u_prev or i_in.
-    """
+    """Leaky soft-reset update: U = rho_m * (U_prev - S_prev * v_th) + I,
+    one ufunc at a time inside out (a new array if None), which must not
+    share memory with u_prev or i_in."""
     if not (u_prev.shape == s_prev.shape == i_in.shape):
         raise ShapeMismatchError(
             f"membrane_step: mismatched shapes {u_prev.shape}, {s_prev.shape}, {i_in.shape}"
         )
-    if out is None:
-        return cfg.rho_m * (u_prev - s_prev * cfg.v_th) + i_in
+    out = np.empty(i_in.shape) if out is None else out
     np.multiply(s_prev, cfg.v_th, out=out)
     np.subtract(u_prev, out, out=out)
     np.multiply(cfg.rho_m, out, out=out)

@@ -162,32 +162,22 @@ def reference_gradients(
 ) -> dict[str, np.ndarray]:
     """Loss gradients for every learnable, each from its own tangent pass,
     keyed like Network.named_parameters(). x is [batch x n_in] (a 1-D item
-    is batch 1) and labels holds one class per item.
-
-    per_item gives the gradient of a sequential_plasticity step instead: the
-    mean over items of each item's window gradients, each item's window
-    starting from the W2/W3 that the previous item's window left."""
+    is batch 1) and labels holds one class per item. per_item gives the
+    gradient of a sequential_plasticity step instead: the mean over items of
+    each item's window gradients, each window starting from the W2/W3 that
+    the previous item's window left."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     windows = [(x[i : i + 1], labels[i : i + 1]) for i in range(len(x))] if per_item else [(x, labels)]
-    state = [[layer.w2 for layer in net.layers], [layer.w3 for layer in net.layers]]
-    total: dict[str, np.ndarray] = {}
-    for xs, ys in windows:
-        start = list(state)
+    starts = [([layer.w2 for layer in net.layers], [layer.w3 for layer in net.layers])]
+    for xs, ys in windows[:-1]:
+        starts.append(_window_loss_tangent(net, *starts[-1], xs, ys, t_steps, ("lambda_f",),
+                                           spike_identity)[1:])
 
-        def d(coord) -> float:
-            value, *state[:] = _window_loss_tangent(net, *start, xs, ys, t_steps, coord,
-                                                    spike_identity)
-            return value
+    def d(coord) -> float:
+        return sum(_window_loss_tangent(net, *start, xs, ys, t_steps, coord, spike_identity)[0]
+                   for start, (xs, ys) in zip(starts, windows)) / len(windows)
 
-        for name, grad in _gradients(net, d).items():
-            total[name] = total[name] + grad if name in total else grad
-    return {name: grad / len(windows) for name, grad in total.items()}
-
-
-def _gradients(net: Network, d) -> dict[str, np.ndarray]:
-    """Every learnable's gradient from d(coord), the loss derivative along
-    one parameter coordinate."""
     grads: dict[str, np.ndarray] = {}
     for l, layer in enumerate(net.layers):
         w1g = np.zeros_like(layer.w1)

@@ -195,6 +195,8 @@ def _read_value(kind, value, name: str):
         expected = "an integer" if kind is int else "a number"
     if not ok:
         raise ConfigError(f"field {name!r}: expected {expected}, got {value!r}")
+    if kind is float and not math.isfinite(value):  # JSON's NaN and Infinity
+        raise ConfigError(f"field {name!r}: must be finite, got {value!r}")
     return kind(value)
 
 
@@ -256,7 +258,10 @@ def load_datasets(cfg: TrainConfig, data_rng: np.random.Generator) -> tuple[Data
 
 
 class Adam:
-    """Adaptive moment estimation, updating parameter arrays in place."""
+    """Adaptive moment estimation, updating parameter arrays in place:
+    m = beta1 m + (1 - beta1) g, v = beta2 v + ((1 - beta2) g) g and
+    p -= lr (m / bias1) / (sqrt(v / bias2) + eps), in that ufunc order, in
+    per-parameter scratch arrays that checkpoints do not save."""
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         self.lr = lr
@@ -266,6 +271,7 @@ class Adam:
         self.step_count = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
+        self._scratch: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self, params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
              skip: frozenset[str] = frozenset()) -> None:
@@ -279,13 +285,19 @@ class Adam:
             if name not in self.m:
                 self.m[name] = np.zeros_like(params[name])
                 self.v[name] = np.zeros_like(params[name])
-            m = self.m[name]
-            v = self.v[name]
+            if name not in self._scratch:
+                self._scratch[name] = (np.empty_like(params[name]), np.empty_like(params[name]))
+            m, v = self.m[name], self.v[name]
+            step, denom = self._scratch[name]
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += np.multiply(1.0 - self.beta1, g, out=step)
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            params[name] -= self.lr * (m / bias1) / (np.sqrt(v / bias2) + self.eps)
+            v += np.multiply(np.multiply(1.0 - self.beta2, g, out=step), g, out=step)
+            np.multiply(self.lr, np.divide(m, bias1, out=step), out=step)
+            np.sqrt(np.divide(v, bias2, out=denom), out=denom)
+            denom += self.eps
+            step /= denom
+            params[name] -= step
 
 
 def _skip_set(cfg: TrainConfig, net: Network) -> frozenset[str]:
@@ -324,8 +336,6 @@ def _project_fraction_factors(net: Network) -> None:
 
 
 def _mean_gradient_dicts(dicts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    """Entry-wise mean of the windows' gradient dicts; layer 1's W1 gradient
-    is not among them (see input_w1_gradient)."""
     out = {}
     for name in dicts[0]:
         total = dicts[0][name].astype(np.float64, copy=True)
@@ -335,29 +345,18 @@ def _mean_gradient_dicts(dicts: list[dict[str, np.ndarray]]) -> dict[str, np.nda
     return out
 
 
-def input_w1_gradient(factors: np.ndarray, x: np.ndarray, windows: int) -> np.ndarray:
-    """Layer 1's W1 gradient of an optimizer step: the mean over its windows
-    of F_i^T x_i, formed as one product of the stacked W1 factors
-    [rows x units] with the step's inputs [rows x n_in]. A batched step is
-    one window; a per-item step is one window per row."""
-    grad = factors.T @ x
-    grad /= windows
-    return grad
-
-
 def step_gradients(
     net: Network, x: np.ndarray, labels, t_steps: int, per_item: bool, *,
     events: list | None = None, surrogate_width_scale: float = 1.0,
 ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
     """The windows of one optimizer step: their mean loss, their mean
     gradients keyed like Network.named_parameters(), and the output spike
-    counts [batch x classes].
-
-    A batched step is one window over x. A per-item step runs one window per
-    item, each continuing the W2/W3 that the previous one left. Each window
-    hands its final W2/W3 to the network. surrogate_width_scale is passed to
-    backward (the gradcheck negative control).
-    """
+    counts [batch x classes]. A batched step is one window over x; a
+    per-item step runs one window per item, each continuing the W2/W3 that
+    the previous one left and handed to the network. Layer 1's W1 gradient,
+    the mean over windows of F_i^T x_i, is one product of the stacked W1
+    factors with the step's inputs. surrogate_width_scale is passed to
+    backward (the gradcheck negative control)."""
     x = np.asarray(x, dtype=np.float64)
     windows = ([(x[i : i + 1], labels[i : i + 1]) for i in range(len(labels))]
                if per_item else [(x, labels)])
@@ -373,7 +372,8 @@ def step_gradients(
         factors.append(factor)
         counts.append(window_counts)
     grads = _mean_gradient_dicts(grad_dicts)
-    grads["layers.0.w1"] = input_w1_gradient(np.concatenate(factors), x, len(windows))
+    grads["layers.0.w1"] = np.concatenate(factors).T @ x
+    grads["layers.0.w1"] /= len(windows)
     return float(np.mean(losses)), grads, np.concatenate(counts)
 
 

@@ -7,10 +7,9 @@ record_forward is the one implementation of the W2/W3 rules that training
 runs, and keeps only what backward reads. backward substitutes
 the rectangular surrogate for the spike derivative and returns gradients
 for W1, the fusion coefficients, the local-rule learnables eta/beta and the
-global fraction factors, keyed like Network.named_parameters(). Layer 1's
-W1 gradient is the exception: it leaves backward as its left factor
-F = lam_1 * sum_t g_u(t) [batch x units], whose product F^T x the trainer
-forms once per optimizer step over all of the step's windows.
+global fraction factors, keyed like Network.named_parameters(), except that
+layer 1's W1 gradient leaves as its factor F = lam_1 sum_t g_u(t)
+[batch x units]: the trainer forms F^T x once per optimizer step.
 
 W2/W3 entering the window are constants; gradients reach eta, beta,
 lambda_f and lambda_p only through the dependence of later timesteps'
@@ -25,22 +24,20 @@ a_t = x W2_t^T and b_t = x W3_t^T are therefore exactly
     q_t = (eta/B) K post_t,   e_t = x dW2_t^T = q_t [+ (d-1) a_t],
     a_t+1 = d a_t + q_t,      b_t+1 = d b_t + e_t * diag_t,
 where the bracket holds with delta_includes_decay and diag_t is the feedback
-modulation. Its W2/W3 are formed once, leaving the last step
-(_input_layer_final), and backward reverses these [batch x units]
-recurrences. Per step, layer 1 costs one [B x B] by [B x units] product,
-O(B^2 units), where dense W2/W3 cost four [units x fan_in] products,
-O(B fan_in units), and about 24 passes over [units x fan_in] matrices; the
-window adds five [units x fan_in] products in all (three drives at step 1,
-the final W2 and W3). The layers above take a new spike matrix at every
-step and keep dense W2/W3.
+modulation. Its W2/W3 are formed once, leaving the last step, and backward
+reverses these [batch x units] recurrences. A step of layer 1 costs one
+[B x B] by [B x units] product each way, O(B^2 units), where dense W2/W3
+cost six O(B fan_in units) products and about 24 passes over
+[units x fan_in] matrices; five such products per window remain (the step-1
+drives and the final W2/W3). Layers above take new spikes at every step and
+keep dense W2/W3.
 
 Reproducibility contract: every value is one fixed numpy expression, and a
 gradient with several terms sums them in one fixed order, named where it is
 built. Training trajectories, and with them the byte-identical re-runs and
 recorded losses, depend on that arithmetic. The Gram form changed it once:
-layer 1's weights differ from those of the dense kernel it replaced at
-rounding level, while the spikes, every step's loss and the test accuracy
-of the 60-step desk prefix stayed the same on the seeds checked.
+layer 1's weights differ from the dense kernel's at rounding level, while
+spikes, losses and accuracy of the 60-step desk prefix did not move.
 
 The large per-step arrays live in a workspace that a window owns while it
 is alive and that later windows of the same shape reuse.
@@ -188,24 +185,20 @@ def record_forward(
 
     decay, lf, lp = win.decay, win.lambda_f, win.lambda_p
     n_layers = len(bufs)
-    # layer 1's Gram matrix and step-1 drives: x is the same at every step,
-    # so its W1 drive is reused and its W2/W3 drives follow recurrences
     first = bufs[0]
     np.matmul(x, x.T, out=first.gram)
-    for k, w in enumerate((win.w1[0], win.w2[0][0], win.w3[0][0])):
-        np.matmul(x, w.T, out=first.drive[0, k])
     hebb_scale = win.eta[0] / batch
-    counts = None
     for t in range(t_steps):
         s_in = x
         for l, b in enumerate(bufs):
             if events is not None:
                 events.append(("forward", t + 1, l + 1))
             lam, d = win.lam[l], b.drive[t]
-            if l > 0:
-                np.matmul(s_in, win.w1[l].T, out=d[0])
-                np.matmul(s_in, win.w2[l][t].T, out=d[1])
-                np.matmul(s_in, win.w3[l][t].T, out=d[2])
+            # x is the same at every step: layer 1's W1 drive is reused and
+            # its W2/W3 drives follow the recurrences
+            if l > 0 or t == 0:
+                for k, w in enumerate((win.w1[l], win.w2[l][t], win.w3[l][t])):
+                    np.matmul(s_in, w.T, out=d[k])
             d1 = b.drive[0 if l == 0 else t, 0]
             i_in = lam[0] * d1 + lam[1] * d[1]
             i_in += lam[2] * d[2]
@@ -265,12 +258,7 @@ def record_forward(
                 w3_new = np.multiply(win.w3[l][t], decay, out=win.w3[l][t + 1])
                 w3_new += feedback
 
-        top = bufs[-1].s[t]
-        if counts is None:
-            counts = top.copy()
-        else:
-            counts += top
-
+    counts = bufs[-1].s.sum(axis=0)
     w2, w3 = _input_layer_final(win, first)
     win.final_w2 = [w2] + [w[-1] for w in win.w2[1:]]
     win.final_w3 = [w3] + [w[-1] for w in win.w3[1:]]
@@ -281,15 +269,12 @@ def record_forward(
 
 def _input_layer_final(win: Window, b: _Buffers) -> tuple[np.ndarray, np.ndarray]:
     """Layer 1's W2/W3 leaving the last step, formed once:
-
-        W2_T = d^T W2_0 + (eta / B) S^T x,   S = sum_t d^(T-1-t) post_t
-        W3_T = d^T W3_0 + r * W2_0 + (eta / B) R^T x,
-               R = sum_t d^(T-1-t) diag_t * E_t
-
-    where dW2_t = c_t W2_0 + (eta / B) E_t^T x is the increment the feedback
-    rule scales: E_t = post_t and r = 0 in pure-increment mode; with the
-    decay included, E_t = (d - 1) S_t + post_t (S_t summing steps before t),
-    c_t = (d - 1) d^t and r = (d - 1) d^(T-1) sum_t diag_t, row-wise.
+        W2_T = d^T W2_0 + (eta/B) S^T x,            S = sum_t d^(T-1-t) post_t
+        W3_T = d^T W3_0 + r * W2_0 + (eta/B) R^T x,  R = sum_t d^(T-1-t) diag_t * E_t
+    where dW2_t = c_t W2_0 + (eta/B) E_t^T x: E_t = post_t and c_t = r = 0
+    in pure-increment mode; with the decay included, E_t = (d-1) S_t + post_t
+    (S_t summing the steps before t), c_t = (d-1) d^t and, row-wise,
+    r = (d-1) d^(T-1) sum_t diag_t.
     """
     x, d, t_steps = win.x, win.decay, win.t_steps
     s_sum = np.zeros_like(b.post[0])

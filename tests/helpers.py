@@ -1,11 +1,12 @@
-"""Shared test helpers: a zero-weight network, one window's full
-gradients, the expected event schedule of one training batch, and metrics
-files without their wall-clock column."""
+"""Shared test helpers: a zero-weight network, a small random network with
+one item, one window's full gradients, the expected event schedule of one
+training batch, and metrics files without their wall-clock column."""
 
 from pathlib import Path
 
+from mpsl.gradcheck import scaled_net
 from mpsl.network import init_network
-from mpsl.trainer import input_w1_gradient
+from mpsl.numerics import make_rng
 from mpsl.window import backward
 
 
@@ -18,11 +19,19 @@ def zero_network(layer_sizes, lif, sbp):
     return net
 
 
+def random_trial_net(seed: int):
+    """A 2-layer gradcheck-sized network with one input item and its label."""
+    rng = make_rng(seed)
+    sizes = [int(rng.integers(3, 7)), int(rng.integers(2, 9)), int(rng.integers(2, 9))]
+    net = scaled_net(rng, sizes)
+    x = rng.uniform(0.0, 1.0, size=sizes[0])
+    return net, x, int(rng.integers(sizes[-1]))
+
+
 def window_gradients(window, **kwargs):
-    """backward's gradients with layer 1's W1 gradient formed as a one-window
-    optimizer step forms it."""
+    """backward's gradients with layer 1's W1 gradient formed from its factor."""
     grads, factor = backward(window, **kwargs)
-    return {"layers.0.w1": input_w1_gradient(factor, window.x, 1), **grads}
+    return {"layers.0.w1": factor.T @ window.x, **grads}
 
 
 def canonical_batch_events(t_steps: int, n_layers: int) -> list[tuple]:

@@ -42,6 +42,7 @@ def test_round_trip_is_bit_exact(tmp_path):
     for name, arr in entries.items():
         assert ckpt.entries[name].shape == np.asarray(arr).shape
         npt.assert_array_equal(ckpt.entries[name], arr)
+        assert ckpt.entries[name].flags.writeable  # its own array, not a view of the file
 
 
 def test_scalar_entries_keep_zero_dim_shape(tmp_path):

@@ -157,6 +157,35 @@ def test_robustness_sweep_contract(trained, tmp_path):
     assert float(rows[0]["accuracy_sd"]) == 0.0
 
 
+def test_center_crop_row_equals_five_evaluations(trained, tmp_path, monkeypatch):
+    # the crop draws nothing, so its one evaluation must write the row that
+    # one evaluation per robustness seed writes, byte for byte
+    from mpsl import cli
+    from mpsl.cli import N_ROBUSTNESS_SEEDS
+    from mpsl.data import PerturbationSpec, perturb_dataset
+    from mpsl.trainer import evaluate, load_datasets, network_from_checkpoint, run_rngs
+
+    calls = []
+    monkeypatch.setattr(cli, "evaluate", lambda *a, **k: calls.append(1) or evaluate(*a, **k))
+    assert main([
+        "robustness", "--checkpoint", str(trained["checkpoint"]), "--kinds", "center-crop",
+        "--levels", "1", "--out-dir", str(tmp_path), "--seed", "7",
+    ]) == 0
+    assert len(calls) == 1
+    _header, rows = read_metrics(tmp_path / "robustness.csv")
+    net, cfg, _ = network_from_checkpoint(trained["checkpoint"])
+    _train_ds, test_ds = load_datasets(cfg, run_rngs(cfg.seed)[0])
+    spec = PerturbationSpec("center-crop", 1)
+    results = [evaluate(net, perturb_dataset(test_ds, spec, seed=7 + i), cfg.t_steps, merged=True)
+               for i in range(N_ROBUSTNESS_SEEDS)]
+    accs = [acc for acc, _loss in results]
+    losses = [loss for _acc, loss in results]
+    assert len(rows) == 1
+    assert rows[0]["accuracy"] == repr(float(np.mean(accs)))
+    assert rows[0]["loss"] == repr(float(np.mean(losses)))
+    assert rows[0]["accuracy_sd"] == repr(float(np.std(accs)))
+
+
 def test_robustness_unknown_kind_exits_2(trained, capsys):
     code = main([
         "robustness", "--checkpoint", str(trained["checkpoint"]), "--kinds", "poisson",

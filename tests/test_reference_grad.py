@@ -1,13 +1,13 @@
 import numpy as np
 import numpy.testing as npt
 
-from mpsl.gradcheck import group_error, random_trial, random_trial_net, run_gradcheck
+from mpsl.gradcheck import group_error, random_trial, run_gradcheck
 from mpsl.neuron import LifConfig
 from mpsl.plasticity import SbpParams
 from mpsl.reference_grad import reference_gradients
 from mpsl.window import record_forward
 
-from helpers import window_gradients, zero_network
+from helpers import random_trial_net, window_gradients, zero_network
 
 
 def test_zero_network_has_zero_gradients():

@@ -8,14 +8,14 @@ import numpy as np
 import numpy.testing as npt
 
 from mpsl import window as window_module
-from mpsl.gradcheck import group_error, random_trial_net
+from mpsl.gradcheck import group_error
 from mpsl.network import init_network
 from mpsl.neuron import LifConfig
 from mpsl.numerics import make_rng
 from mpsl.plasticity import SbpParams
 from mpsl.window import backward, record_forward
 
-from helpers import window_gradients, zero_network
+from helpers import random_trial_net, window_gradients, zero_network
 from oracles import window_oracle
 
 

@@ -1,4 +1,5 @@
 import copy
+import json
 import math
 from dataclasses import replace
 
@@ -97,6 +98,15 @@ def test_config_field_level_messages():
         TrainConfig.from_dict({"t_steps": None})
     with pytest.raises(ConfigError, match="field 'lif.v_th': expected a number, got None"):
         TrainConfig.from_dict({"lif": {"v_th": None}})
+    # JSON's NaN and Infinity pass every range check, so they are refused first
+    with pytest.raises(ConfigError, match="field 'lr': must be finite, got nan"):
+        TrainConfig.from_dict(json.loads('{"lr": NaN}'))
+    with pytest.raises(ConfigError, match="field 'lif.v_th': must be finite, got inf"):
+        TrainConfig.from_dict(json.loads('{"lif": {"v_th": Infinity}}'))
+    with pytest.raises(ConfigError, match="field 'blobs.sigma': must be finite, got nan"):
+        TrainConfig.from_dict(json.loads('{"blobs": {"sigma": NaN}}'))
+    with pytest.raises(ConfigError, match="field 'lambda_init': must be finite, got -inf"):
+        TrainConfig.from_dict(json.loads('{"lambda_init": [1, 0, -Infinity]}'))
     assert TrainConfig.from_dict({"data_dir": None, "frozen_source": None}) == TrainConfig()
 
 
@@ -188,6 +198,29 @@ def test_fraction_factors_stay_projected():
 
 
 # --- determinism ------------------------------------------------------------
+
+
+def test_adam_step_is_byte_identical_to_the_expression_form():
+    # the scratch-array step must keep every bit of the textbook expressions
+    rng = make_rng(17)
+    shapes = {"w": (7, 5), "lam": (3,), "eta": ()}
+    params = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+    want = {name: p.copy() for name, p in params.items()}
+    opt = Adam(lr=3e-3)
+    m = {name: np.zeros(shape) for name, shape in shapes.items()}
+    v = {name: np.zeros(shape) for name, shape in shapes.items()}
+    for k in range(1, 6):
+        grads = {name: rng.normal(size=shape) for name, shape in shapes.items()}
+        opt.step(params, grads)
+        bias1, bias2 = 1.0 - 0.9**k, 1.0 - 0.999**k
+        for name, g in grads.items():
+            m[name] = 0.9 * m[name] + (1.0 - 0.9) * g
+            v[name] = 0.999 * v[name] + (1.0 - 0.999) * g * g
+            want[name] = want[name] - 3e-3 * (m[name] / bias1) / (np.sqrt(v[name] / bias2) + 1e-8)
+        for name in shapes:
+            assert params[name].tobytes() == want[name].tobytes(), (k, name)
+            assert opt.m[name].tobytes() == m[name].tobytes(), (k, name)
+            assert opt.v[name].tobytes() == v[name].tobytes(), (k, name)
 
 
 def test_training_is_deterministic():
