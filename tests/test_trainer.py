@@ -105,6 +105,10 @@ def test_config_field_level_messages():
         TrainConfig.from_dict(json.loads('{"lif": {"v_th": Infinity}}'))
     with pytest.raises(ConfigError, match="field 'blobs.sigma': must be finite, got nan"):
         TrainConfig.from_dict(json.loads('{"blobs": {"sigma": NaN}}'))
+    # no decay is tau_w = 1e300 (decay exactly 1.0), not Infinity
+    with pytest.raises(ConfigError, match="field 'sbp.tau_w': must be finite, got inf"):
+        TrainConfig.from_dict(json.loads('{"sbp": {"tau_w": Infinity}}'))
+    assert TrainConfig.from_dict({"sbp": {"tau_w": 1e300}}).sbp.decay(1.0) == 1.0
     with pytest.raises(ConfigError, match="field 'lambda_init': must be finite, got -inf"):
         TrainConfig.from_dict(json.loads('{"lambda_init": [1, 0, -Infinity]}'))
     assert TrainConfig.from_dict({"data_dir": None, "frozen_source": None}) == TrainConfig()
