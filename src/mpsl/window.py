@@ -36,8 +36,8 @@ Reproducibility contract: every value is one fixed numpy expression, and a
 gradient with several terms sums them in one fixed order, named where it is
 built. Training trajectories, and with them the byte-identical re-runs and
 recorded losses, depend on that arithmetic. The Gram form changed it once:
-layer 1's weights differ from the dense kernel's at rounding level, while
-spikes, losses and accuracy of the 60-step desk prefix did not move.
+layer 1's weights differ from the dense kernel's at rounding level; on the
+seeds checked, the 60-step desk prefix kept its spikes, losses and accuracy.
 
 The large per-step arrays live in a workspace that a window owns while it
 is alive and that later windows of the same shape reuse.
