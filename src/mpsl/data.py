@@ -171,7 +171,8 @@ def perturb_dataset(ds: Dataset, spec: PerturbationSpec, seed: int) -> Dataset:
 
     Gaussian and salt-pepper draw from one generator per item, spawned from
     SeedSequence(seed), so each item's corruption is reproducible and does
-    not depend on the other items. Center-crop draws nothing: it ignores the
+    not depend on the other items; Gaussian noise is clipped once, over the
+    whole split, after the last draw. Center-crop draws nothing: it ignores the
     seed, spawns no generators and crops the whole split in one assignment.
     """
     spec.validate(ds.width, ds.height)
@@ -196,10 +197,10 @@ def perturb_dataset(ds: Dataset, spec: PerturbationSpec, seed: int) -> Dataset:
         for i, child in enumerate(np.random.SeedSequence(seed).spawn(len(ds))):
             rng = np.random.Generator(np.random.PCG64(child))
             if spec.kind == "gaussian":
-                row = images[i]
-                row += rng.normal(scale=spec.level, size=n_pixels)
-                np.clip(row, 0.0, 1.0, out=row)
+                images[i] += rng.normal(scale=spec.level, size=n_pixels)
             elif n_corrupt:
                 idx = rng.choice(n_pixels, size=n_corrupt, replace=False)
                 images[i, idx] = rng.integers(0, 2, size=n_corrupt)
+        if spec.kind == "gaussian":
+            np.clip(images, 0.0, 1.0, out=images)
     return Dataset(images, ds.labels.copy(), ds.width, ds.height, ds.num_classes)

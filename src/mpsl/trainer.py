@@ -6,11 +6,11 @@ through layers 1..L, then feedback updates through layers L..1; after the
 window one gradient step updates W1 and the other gradient-learned
 parameters, and the fraction factors are projected back into [0.1, 1].
 
-Batches run through one shared recorded window whose Hebbian increments
-are batch means (exact for batch size 1). `sequential_plasticity` instead
-feeds items one at a time, each continuing the previous item's W2/W3
-state, at a substantial speed cost; the batched mode is the default and
-is an approximation of that strict per-item schedule.
+Each batch runs through one recorded window. By default its Hebbian
+increments are batch means (exact for batch size 1); `sequential_plasticity`
+instead runs the items one at a time inside that window, each continuing
+the previous item's W2/W3 state. The batched mode is the default and is an
+approximation of that strict per-item schedule.
 """
 
 from __future__ import annotations
@@ -336,45 +336,31 @@ def _project_fraction_factors(net: Network) -> None:
 
 
 def _mean_gradient_dicts(dicts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    out = {}
-    for name in dicts[0]:
-        total = dicts[0][name].astype(np.float64, copy=True)
-        for d in dicts[1:]:
-            total += d[name]
-        out[name] = total / len(dicts)
-    return out
+    return {name: sum((d[name] for d in dicts[1:]), dicts[0][name]) / len(dicts)
+            for name in dicts[0]}
 
 
 def step_gradients(
     net: Network, x: np.ndarray, labels, t_steps: int, per_item: bool, *,
     events: list | None = None, surrogate_width_scale: float = 1.0,
 ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
-    """The windows of one optimizer step: their mean loss, their mean
-    gradients keyed like Network.named_parameters(), and the output spike
-    counts [batch x classes]. A batched step is one window over x; a
-    per-item step runs one window per item, each continuing the W2/W3 that
-    the previous one left and handed to the network. Layer 1's W1 gradient,
-    the mean over windows of F_i^T x_i, is one product of the stacked W1
-    factors with the step's inputs. surrogate_width_scale is passed to
-    backward (the gradcheck negative control)."""
+    """The recorded window of one optimizer step (one group of items, or one
+    group per item): its mean loss, its groups' mean gradients keyed like
+    Network.named_parameters(), and the output spike counts [batch x
+    classes]; the W2/W3 leaving it are handed to the network. Layer 1's W1
+    gradient is one product of the W1 factor with the step's inputs.
+    surrogate_width_scale is passed to backward (the gradcheck negative
+    control)."""
     x = np.asarray(x, dtype=np.float64)
-    windows = ([(x[i : i + 1], labels[i : i + 1]) for i in range(len(labels))]
-               if per_item else [(x, labels)])
-    losses, grad_dicts, factors, counts = [], [], [], []
-    for xs, ys in windows:
-        window, window_counts = record_forward(net, xs, ys, t_steps, events=events)
-        grads, factor = backward(window, surrogate_width_scale=surrogate_width_scale)
-        for idx, layer in enumerate(net.layers):
-            layer.w2 = window.final_w2[idx]
-            layer.w3 = window.final_w3[idx]
-        losses.append(window.loss_value)
-        grad_dicts.append(grads)
-        factors.append(factor)
-        counts.append(window_counts)
-    grads = _mean_gradient_dicts(grad_dicts)
-    grads["layers.0.w1"] = np.concatenate(factors).T @ x
-    grads["layers.0.w1"] /= len(windows)
-    return float(np.mean(losses)), grads, np.concatenate(counts)
+    window, counts = record_forward(net, x, labels, t_steps, per_item=per_item, events=events)
+    group_grads, factor = backward(window, surrogate_width_scale=surrogate_width_scale)
+    for idx, layer in enumerate(net.layers):
+        layer.w2 = window.final_w2[idx]
+        layer.w3 = window.final_w3[idx]
+    grads = _mean_gradient_dicts(group_grads)
+    grads["layers.0.w1"] = factor.T @ x
+    grads["layers.0.w1"] /= window.groups
+    return window.loss_value, grads, counts
 
 
 def train_epoch(

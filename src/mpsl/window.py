@@ -4,33 +4,38 @@ layers 1..L, then feedback steps for layers L..1 — and its hand-written
 reverse.
 
 record_forward is the one implementation of the W2/W3 rules that training
-runs, and keeps only what backward reads. backward substitutes
-the rectangular surrogate for the spike derivative and returns gradients
-for W1, the fusion coefficients, the local-rule learnables eta/beta and the
-global fraction factors, keyed like Network.named_parameters(), except that
-layer 1's W1 gradient leaves as its factor F = lam_1 sum_t g_u(t)
-[batch x units]: the trainer forms F^T x once per optimizer step.
+runs, and keeps only what backward reads. One window holds the n items of
+one optimizer step as G groups of b rows: a batched step is one group whose
+Hebbian increments are batch means; a per-item step is n groups of one, run
+in turn, each starting from the W2/W3 that the group before it left. W2/W3
+entering a group are constants to the gradient (the local learnables reach
+the loss only through updates made inside it), so the groups' reverses are
+independent, and backward runs them all at once over [G x b x units]
+arrays. It substitutes the rectangular surrogate for the spike derivative
+and returns each group's gradients for W1, the fusion coefficients, the
+local-rule learnables eta/beta and the global fraction factors, keyed like
+Network.named_parameters(); layer 1's W1 gradient leaves as its factor
+F = lam_1 sum_t g_u(t) [n x units], whose F^T x the trainer forms once.
 
-W2/W3 entering the window are constants; gradients reach eta, beta,
-lambda_f and lambda_p only through the dependence of later timesteps'
-weights on updates made inside the window.
-
-Layer 1 runs through the batch Gram matrix K = x x^T (the fast-weights
+Layer 1 runs through the step's Gram matrix K = x x^T (the fast-weights
 identity; Ba et al. 2016, arXiv:1610.06258; Schlag, Irie & Schmidhuber
-2021, arXiv:2102.11174). Its input x is the same at every step, so each
-Hebbian increment (eta/B) post_t^T x, and each feedback increment, which
-scales that one's rows, lies in the row span of x. Its drives
-a_t = x W2_t^T and b_t = x W3_t^T are therefore exactly
-    q_t = (eta/B) K post_t,   e_t = x dW2_t^T = q_t [+ (d-1) a_t],
-    a_t+1 = d a_t + q_t,      b_t+1 = d b_t + e_t * diag_t,
+2021, arXiv:2102.11174). Its input x_g is the same at every step, so each
+Hebbian increment (eta/b) post_t^T x_g, and each feedback increment, which
+scales that one's rows, lies in the row span of x_g. Inside group g, its
+drives a_t = x_g W2_t^T and b_t = x_g W3_t^T are therefore exactly
+    q_t = (eta/b) K_gg post_t,   e_t = x_g dW2_t^T = q_t [+ (d-1) a_t],
+    a_t+1 = d a_t + q_t,         b_t+1 = d b_t + e_t * diag_t,
 where the bracket holds with delta_includes_decay and diag_t is the feedback
-modulation. Its W2/W3 are formed once, leaving the last step, and backward
-reverses these [batch x units] recurrences. A step of layer 1 costs one
-[B x B] by [B x units] product each way, O(B^2 units), where dense W2/W3
-cost six O(B fan_in units) products and about 24 passes over
-[units x fan_in] matrices; five such products per window remain (the step-1
-drives and the final W2/W3). Layers above take new spikes at every step and
-keep dense W2/W3.
+modulation. Across groups its W2/W3 are carried in factored form,
+    W2 = c W2_0 + P^T x,   W3 = c W3_0 + m * W2_0 + Q^T x,
+where each group adds its rows to the [n x units] factors P and Q
+(_carry_input_layer), and the next group's step-1 drives are
+c a_0 + K[g, :] P and c b_0 [+ m * a_0] + K[g, :] Q. Dense W2/W3 are formed
+once, leaving the last group. Per step, layer 1 makes four [n x fan_in]
+products (K and the step-1 drives) and two [units x n] by [n x fan_in] ones
+(the final W2/W3), and a group's step one [b x b] by [b x units] product
+each way. The layers above keep dense W2/W3, with histories of G T + 1
+matrices: a per-item window holds n times the batched one's.
 
 Reproducibility contract: every value is one fixed numpy expression, and a
 gradient with several terms sums them in one fixed order, named where it is
@@ -38,6 +43,8 @@ built. Training trajectories, and with them the byte-identical re-runs and
 recorded losses, depend on that arithmetic. The Gram form changed it once:
 layer 1's weights differ from the dense kernel's at rounding level; on the
 seeds checked, the 60-step desk prefix kept its spikes, losses and accuracy.
+Groups left a batched window's bytes unchanged; a per-item window can
+differ at rounding level from n batch-1 windows run in turn.
 
 The large per-step arrays live in a workspace that a window owns while it
 is alive and that later windows of the same shape reuse.
@@ -70,38 +77,44 @@ def softmax_xent(scores: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndar
 
 class _Buffers:
     """One layer's arrays for one window shape: the forward values that the
-    reverse reads, indexed by timestep, and the reverse's scratch matrices.
-    Layer 1 keeps its plastic state as [batch x units] drives (see the
-    module docstring); the layers above keep dense W2/W3 histories."""
+    reverse reads, indexed by timestep and then group, and the reverse's
+    scratch matrices. Layer 1 keeps drives and factors (module docstring)
+    where the layers above keep dense W2/W3 histories."""
 
-    def __init__(self, batch: int, t_steps: int, fan_in: int, fan_out: int, input_layer: bool):
-        units = (t_steps, batch, fan_out)
+    def __init__(self, groups: int, rows: int, t_steps: int, fan_in: int, fan_out: int,
+                 input_layer: bool):
+        units = (t_steps, groups, rows, fan_out)
         self.u = np.empty(units)
         self.s = np.empty(units)
         self.sig = np.empty(units)
         self.post = np.empty(units)
-        self.drive = np.empty((t_steps, 3, batch, fan_out))  # x_in @ W_k.T per pathway
+        self.drive = np.empty((t_steps, 3, groups, rows, fan_out))  # x_in @ W_k.T per pathway
         # feedback modulation diag = lambda_f * lift, lift = 1 + lambda_p * share
-        self.share = np.empty((t_steps, fan_out))
-        self.lift = np.empty((t_steps, fan_out))
-        self.diag = np.empty((t_steps, fan_out))
-        self.total = np.empty(t_steps)
-        self.degenerate = np.empty(t_steps, dtype=bool)
+        self.share = np.empty((t_steps, groups, fan_out))
+        self.lift = np.empty((t_steps, groups, fan_out))
+        self.diag = np.empty((t_steps, groups, fan_out))
+        # column totals of the layer above; infinite where they degenerate
+        self.total = np.empty((t_steps, groups))
         mat = (fan_out, fan_in)
-        self.tmp = np.empty(mat)
         if input_layer:
-            self.gram = np.empty((batch, batch))  # K = x @ x.T
+            n = groups * rows
+            self.tmp = np.empty(mat)
+            self.gram = np.empty((n, n))  # K = x @ x.T
             self.e = np.empty(units)  # x @ dW2_t.T, the increment the feedback rule scales
-            self.w2 = self.w3 = ()
+            self.p = np.empty((n, fan_out))  # factored W2/W3 (module docstring)
+            self.q = np.empty((n, fan_out))
+            self.m = np.empty(fan_out)
             return
-        self.w2 = np.empty((t_steps - 1, *mat))  # W2 / W3 leaving steps 1..T-1
-        self.w3 = np.empty((t_steps - 1, *mat))
-        self.om = np.empty((t_steps, *mat))  # batch-mean Hebbian correlation
-        self.dw2 = np.empty((t_steps, *mat))  # increment handed to the feedback rule
-        self.g_w2 = np.empty((2, *mat))  # reverse: W2/W3 leaving steps t and t-1
-        self.g_w3 = np.empty((2, *mat))
-        self.g_dw2 = np.empty(mat)
-        self.g_om = np.empty(mat)
+        self.tmp = np.empty((groups, *mat))
+        # W2 / W3 entering step t of group g at g T + t; the last leaves the window
+        self.w2 = np.empty((groups * t_steps + 1, *mat))
+        self.w3 = np.empty((groups * t_steps + 1, *mat))
+        self.om = np.empty((t_steps, groups, *mat))  # batch-mean Hebbian correlation
+        self.dw2 = np.empty((t_steps, groups, *mat))  # increment handed to the feedback rule
+        self.g_w2 = np.empty((2, groups, *mat))  # reverse: W2/W3 leaving steps t and t-1
+        self.g_w3 = np.empty((2, groups, *mat))
+        self.g_dw2 = np.empty((groups, *mat))
+        self.g_om = np.empty((groups, *mat))
 
 
 def _release(key: tuple, bufs: list[_Buffers]) -> None:
@@ -114,17 +127,18 @@ def _release(key: tuple, bufs: list[_Buffers]) -> None:
 class Window:
     """A recorded training window.
 
-    loss_value, counts ([batch x classes] output spike counts) and
+    loss_value, counts ([n x classes] output spike counts) and
     final_w2/final_w3 (per layer) are the forward's results, in arrays of
     their own. u and s hold each layer's membrane potentials and spikes as
-    [T x batch x units] arrays. W1 and the W2/W3 entering the window are
+    [T x n x units] arrays. W1 and layer 1's W2/W3 entering the window are
     held by reference: reverse the window before changing them in place.
     """
 
-    def __init__(self, net: Network, x: np.ndarray, labels: np.ndarray, t_steps: int,
-                 spike_identity: bool, bufs: list[_Buffers]):
+    def __init__(self, net: Network, x: np.ndarray, labels: np.ndarray, groups: int,
+                 t_steps: int, spike_identity: bool, bufs: list[_Buffers]):
         layers = net.layers
-        self.x, self.labels, self.t_steps, self.bufs = x, labels, t_steps, bufs
+        self.x, self.labels, self.groups, self.t_steps = x, labels, groups, t_steps
+        self.bufs = bufs
         self.spike_identity = spike_identity
         self.lif = net.lif
         self.decay = net.sbp.decay(net.lif.dt)
@@ -134,15 +148,17 @@ class Window:
         self.eta = [float(layer.eta) for layer in layers]
         self.beta = [float(layer.beta) for layer in layers]
         self.lambda_f, self.lambda_p = float(net.lambda_f), float(net.lambda_p)
-        # W2/W3 entering step t (from 0) at index t; past the input layer,
-        # index T holds the final value
-        self.w2 = [[layer.w2, *b.w2] for layer, b in zip(layers, bufs)]
-        self.w3 = [[layer.w3, *b.w3] for layer, b in zip(layers, bufs)]
-        for w in self.w2[1:] + self.w3[1:]:
-            w.append(np.empty_like(w[0]))
+        self.w2 = [layers[0].w2, *(b.w2 for b in bufs[1:])]  # layer 1's entering, histories
+        self.w3 = [layers[0].w3, *(b.w3 for b in bufs[1:])]
+        for layer, b in zip(layers[1:], bufs[1:]):
+            b.w2[0], b.w3[0] = layer.w2, layer.w3
+        rows = self.rows = len(x) // groups
+        # each group's own block of K
+        self.gram_blocks = bufs[0].gram.reshape(groups, rows, groups, rows)[
+            range(groups), :, range(groups)]
         self.final_w2 = self.final_w3 = None
-        self.u = [b.u for b in bufs]
-        self.s = [b.s for b in bufs]
+        self.u = [b.u.reshape(t_steps, len(x), -1) for b in bufs]
+        self.s = [b.s.reshape(t_steps, len(x), -1) for b in bufs]
         self.counts = self.logp = None
         self.loss_value = float("nan")
 
@@ -153,15 +169,17 @@ def record_forward(
     labels,
     t_steps: int,
     *,
+    per_item: bool = False,
     spike_identity: bool = False,
     events: list | None = None,
 ) -> tuple[Window, np.ndarray]:
-    """Record the full training window for one batch (or one item).
+    """Record the training window of one optimizer step.
 
-    x is [batch x input_dim] (a single 1-D item is promoted to batch 1);
-    the Hebbian increments inside the window are batch means, which for
-    batch size 1 is the per-item update schedule exactly. Returns the window
-    and the per-class output spike counts.
+    x is [n x input_dim] (a single 1-D item is promoted to n = 1). A batched
+    window runs the n items as one group with batch-mean Hebbian increments;
+    a per_item window runs them as n groups of one in turn, which is the
+    per-item update schedule exactly. Returns the window and the per-class
+    output spike counts [n x classes].
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 1:
@@ -174,128 +192,156 @@ def record_forward(
     if x.shape[0] != labels.shape[0]:
         raise ShapeMismatchError("batch image/label count mismatch")
 
-    batch = x.shape[0]
-    key = (batch, t_steps, tuple(net.layer_sizes))
+    n = x.shape[0]
+    groups, rows = (n, 1) if per_item else (1, n)
+    key = (groups, rows, t_steps, tuple(net.layer_sizes))
     bufs = _spare.pop(key, None) or [
-        _Buffers(batch, t_steps, layer.fan_in, layer.fan_out, l == 0)
+        _Buffers(groups, rows, t_steps, layer.fan_in, layer.fan_out, l == 0)
         for l, layer in enumerate(net.layers)
     ]
-    win = Window(net, x, labels, t_steps, spike_identity, bufs)
+    first = bufs[0]
+    np.matmul(x, x.T, out=first.gram)
+    win = Window(net, x, labels, groups, t_steps, spike_identity, bufs)
     weakref.finalize(win, _release, key, bufs)
 
     decay, lf, lp = win.decay, win.lambda_f, win.lambda_p
     n_layers = len(bufs)
-    first = bufs[0]
-    np.matmul(x, x.T, out=first.gram)
-    hebb_scale = win.eta[0] / batch
-    for t in range(t_steps):
-        s_in = x
-        for l, b in enumerate(bufs):
-            if events is not None:
-                events.append(("forward", t + 1, l + 1))
-            lam, d = win.lam[l], b.drive[t]
-            # x is the same at every step: layer 1's W1 drive is reused and
-            # its W2/W3 drives follow the recurrences
-            if l > 0 or t == 0:
-                for k, w in enumerate((win.w1[l], win.w2[l][t], win.w3[l][t])):
-                    np.matmul(s_in, w.T, out=d[k])
-            d1 = b.drive[0 if l == 0 else t, 0]
-            i_in = lam[0] * d1 + lam[1] * d[1]
-            i_in += lam[2] * d[2]
-            if t == 0:
-                u_prev = s_prev = np.zeros_like(i_in)
-            else:
-                u_prev, s_prev = b.u[t - 1], b.s[t - 1]
-            u = membrane_step(u_prev, s_prev, i_in, net.lif, out=b.u[t])
-            if spike_identity:
-                b.s[t] = u
-            else:
-                spike(u, net.lif, out=b.s[t])
+    # x is the same at every step: layer 1's W1 drive is reused, and its
+    # W2/W3 drives follow the recurrences from these
+    for k, w in enumerate((win.w1[0], win.w2[0], win.w3[0])):
+        np.matmul(x, w.T, out=first.drive[0, k].reshape(n, -1))
+    for factor in (first.p, first.q, first.m):
+        factor.fill(0.0)
+    scale = 1.0  # c, the share of W2_0/W3_0 in layer 1's W2/W3
+    hebb_scale = win.eta[0] / rows
+    for g in range(groups):
+        x_g = x[g * rows : (g + 1) * rows]
+        if g:
+            k_row = first.gram[g * rows : (g + 1) * rows]
+            a_0, b_0 = first.drive[0, 1, g], first.drive[0, 2, g]
+            b_0 *= scale
+            if not win.pure_increment:
+                b_0 += a_0 * first.m
+            b_0 += k_row @ first.q
+            a_0 *= scale
+            a_0 += k_row @ first.p
+        for t in range(t_steps):
+            s_in = x_g
+            i = g * t_steps + t
+            for l, b in enumerate(bufs):
+                if events is not None:
+                    events.append(("forward", t + 1, l + 1))
+                lam, d = win.lam[l], b.drive[t, :, g]
+                if l > 0:
+                    for k, w in enumerate((win.w1[l], b.w2[i], b.w3[i])):
+                        np.matmul(s_in, w.T, out=d[k])
+                d1 = b.drive[0 if l == 0 else t, 0, g]
+                i_in = lam[0] * d1 + lam[1] * d[1]
+                i_in += lam[2] * d[2]
+                if t == 0:
+                    u_prev = s_prev = np.zeros_like(i_in)
+                else:
+                    u_prev, s_prev = b.u[t - 1, g], b.s[t - 1, g]
+                u = membrane_step(u_prev, s_prev, i_in, net.lif, out=b.u[t, g])
+                if spike_identity:
+                    b.s[t, g] = u
+                else:
+                    spike(u, net.lif, out=b.s[t, g])
 
-            if events is not None:
-                events.append(("hebbian", t + 1, l + 1))
-            b.sig[t] = 1.0 / (1.0 + np.exp(-u))
-            np.add(b.sig[t], win.beta[l], out=b.post[t])
-            if l == 0:
-                # q = x @ (eta * mean_b post_b x_b).T = (eta / B) K @ post
-                q = np.matmul(first.gram, b.post[t], out=b.e[t])
-                q *= hebb_scale
-                if t + 1 < t_steps:
-                    a_next = np.multiply(d[1], decay, out=b.drive[t + 1, 1])
-                    a_next += q
-                if not win.pure_increment:
-                    q += (decay - 1.0) * d[1]  # e = (d - 1) a + q
-            else:
-                om = np.matmul(b.post[t].T, s_in, out=b.om[t])
-                om /= batch
-                inc = np.multiply(om, win.eta[l], out=b.dw2[t] if win.pure_increment else b.tmp)
-                w2_old, w2_new = win.w2[l][t], win.w2[l][t + 1]
-                np.multiply(w2_old, decay, out=w2_new)
-                w2_new += inc
-                if not win.pure_increment:
-                    np.subtract(w2_new, w2_old, out=b.dw2[t])
-            s_in = b.s[t]
+                if events is not None:
+                    events.append(("hebbian", t + 1, l + 1))
+                b.sig[t, g] = 1.0 / (1.0 + np.exp(-u))
+                np.add(b.sig[t, g], win.beta[l], out=b.post[t, g])
+                if l == 0:
+                    # q = x @ (eta * mean_b post_b x_b).T = (eta / b) K @ post
+                    q = np.matmul(win.gram_blocks[g], b.post[t, g], out=b.e[t, g])
+                    q *= hebb_scale
+                    if t + 1 < t_steps:
+                        a_next = np.multiply(d[1], decay, out=b.drive[t + 1, 1, g])
+                        a_next += q
+                    if not win.pure_increment:
+                        q += (decay - 1.0) * d[1]  # e = (d - 1) a + q
+                else:
+                    om = np.matmul(b.post[t, g].T, s_in, out=b.om[t, g])
+                    om /= rows
+                    inc = np.multiply(om, win.eta[l],
+                                      out=b.dw2[t, g] if win.pure_increment else b.tmp[g])
+                    w2_old, w2_new = b.w2[i], b.w2[i + 1]
+                    np.multiply(w2_old, decay, out=w2_new)
+                    w2_new += inc
+                    if not win.pure_increment:
+                        np.subtract(w2_new, w2_old, out=b.dw2[t, g])
+                s_in = b.s[t, g]
 
-        for l in reversed(range(n_layers)):
-            if events is not None:
-                events.append(("sbp", t + 1, l + 1))
-            b = bufs[l]
-            if l + 1 < n_layers:
-                col = bufs[l + 1].dw2[t].sum(axis=0)
-                b.share[t], b.degenerate[t] = normalize_simplex(col)
-                b.total[t] = col.sum()
-                b.lift[t] = 1.0 + lp * b.share[t]
-                b.diag[t] = lf * b.lift[t]
-            else:  # the top layer's increment is scaled by lambda_f alone
-                b.lift[t] = 1.0
-                b.diag[t] = lf
-            if l == 0:
-                if t + 1 < t_steps:
-                    b_next = np.multiply(b.drive[t, 2], decay, out=b.drive[t + 1, 2])
-                    b_next += b.e[t] * b.diag[t]
-            else:
-                feedback = np.multiply(b.diag[t][:, None], b.dw2[t], out=b.tmp)
-                w3_new = np.multiply(win.w3[l][t], decay, out=win.w3[l][t + 1])
-                w3_new += feedback
+            for l in reversed(range(n_layers)):
+                if events is not None:
+                    events.append(("sbp", t + 1, l + 1))
+                b = bufs[l]
+                if l + 1 < n_layers:
+                    col = bufs[l + 1].dw2[t, g].sum(axis=0)
+                    b.share[t, g], degenerate = normalize_simplex(col)
+                    b.total[t, g] = np.inf if degenerate else col.sum()
+                    b.lift[t, g] = 1.0 + lp * b.share[t, g]
+                    b.diag[t, g] = lf * b.lift[t, g]
+                else:  # the top layer's increment is scaled by lambda_f alone
+                    b.lift[t, g] = 1.0
+                    b.diag[t, g] = lf
+                if l == 0:
+                    if t + 1 < t_steps:
+                        b_next = np.multiply(b.drive[t, 2, g], decay, out=b.drive[t + 1, 2, g])
+                        b_next += b.e[t, g] * b.diag[t, g]
+                else:
+                    feedback = np.multiply(b.diag[t, g][:, None], b.dw2[t, g], out=b.tmp[g])
+                    w3_new = np.multiply(b.w3[i], decay, out=b.w3[i + 1])
+                    w3_new += feedback
+        scale = _carry_input_layer(win, first, g, scale)
 
-    counts = bufs[-1].s.sum(axis=0)
-    w2, w3 = _input_layer_final(win, first)
-    win.final_w2 = [w2] + [w[-1] for w in win.w2[1:]]
-    win.final_w3 = [w3] + [w[-1] for w in win.w3[1:]]
+    # layer 1's W2/W3 leaving the last group, formed once from its factors
+    w2 = np.multiply(win.w2[0], scale)
+    w2 += np.matmul(first.p.T, x, out=first.tmp)
+    w3 = np.multiply(win.w3[0], scale)
+    w3 += np.matmul(first.q.T, x, out=first.tmp)
+    if not win.pure_increment:
+        w3 += np.multiply(win.w2[0], first.m[:, None], out=first.tmp)
+    counts = bufs[-1].s.sum(axis=0).reshape(n, -1)
+    win.final_w2 = [w2] + [b.w2[-1].copy() for b in bufs[1:]]
+    win.final_w3 = [w3] + [b.w3[-1].copy() for b in bufs[1:]]
     win.counts = counts
     win.loss_value, win.logp = softmax_xent(counts, labels)
     return win, counts
 
 
-def _input_layer_final(win: Window, b: _Buffers) -> tuple[np.ndarray, np.ndarray]:
-    """Layer 1's W2/W3 leaving the last step, formed once:
-        W2_T = d^T W2_0 + (eta/B) S^T x,            S = sum_t d^(T-1-t) post_t
-        W3_T = d^T W3_0 + r * W2_0 + (eta/B) R^T x,  R = sum_t d^(T-1-t) diag_t * E_t
-    where dW2_t = c_t W2_0 + (eta/B) E_t^T x: E_t = post_t and c_t = r = 0
+def _carry_input_layer(win: Window, b: _Buffers, g: int, scale: float) -> float:
+    """Fold group g's increments into layer 1's factored W2/W3; returns the
+    new c. Over its T steps, group g takes W2/W3 to
+        W2' = d^T W2 + (eta/b) S^T x_g,            S = sum_t d^(T-1-t) post_t
+        W3' = d^T W3 + r * W2 + (eta/b) R^T x_g,   R = sum_t d^(T-1-t) diag_t * E_t
+    where dW2_t = c_t W2 + (eta/b) E_t^T x_g: E_t = post_t and c_t = r = 0
     in pure-increment mode; with the decay included, E_t = (d-1) S_t + post_t
-    (S_t summing the steps before t), c_t = (d-1) d^t and, row-wise,
-    r = (d-1) d^(T-1) sum_t diag_t.
+    (S_t sums the steps before t), c_t = (d-1) d^t, r = (d-1) d^(T-1) sum_t diag_t.
     """
-    x, d, t_steps = win.x, win.decay, win.t_steps
-    s_sum = np.zeros_like(b.post[0])
-    r_sum = np.zeros_like(b.post[0])
+    d, t_steps, rows = win.decay, win.t_steps, win.rows
+    s_sum = np.zeros_like(b.post[0, g])
+    r_sum = np.zeros_like(b.post[0, g])
     for t in range(t_steps):
-        e = b.post[t] if win.pure_increment else (d - 1.0) * s_sum + b.post[t]
+        e = b.post[t, g] if win.pure_increment else (d - 1.0) * s_sum + b.post[t, g]
         r_sum *= d
-        r_sum += b.diag[t] * e
+        r_sum += b.diag[t, g] * e
         s_sum *= d
-        s_sum += b.post[t]
-    hebb_scale = win.eta[0] / x.shape[0]
+        s_sum += b.post[t, g]
+    hebb_scale = win.eta[0] / rows
     d_t = d**t_steps
-    w2_0, w3_0 = win.w2[0][0], win.w3[0][0]
-    w2 = np.multiply(w2_0, d_t)
-    w2 += np.matmul((hebb_scale * s_sum).T, x, out=b.tmp)
-    w3 = np.multiply(w3_0, d_t)
-    w3 += np.matmul((hebb_scale * r_sum).T, x, out=b.tmp)
+    group = slice(g * rows, (g + 1) * rows)
+    b.q *= d_t
     if not win.pure_increment:
-        row = (d - 1.0) * d ** (t_steps - 1) * b.diag.sum(axis=0)
-        w3 += np.multiply(w2_0, row[:, None], out=b.tmp)
-    return w2, w3
+        row = (d - 1.0) * d ** (t_steps - 1) * b.diag[:, g].sum(axis=0)
+        b.q += b.p * row
+        b.m *= d_t
+        b.m += row * scale
+    b.q[group] += hebb_scale * r_sum
+    b.p *= d_t
+    b.p[group] += hebb_scale * s_sum
+    return scale * d_t
 
 
 def _plus(total, term):
@@ -303,37 +349,42 @@ def _plus(total, term):
 
 
 def backward(win: Window, *,
-             surrogate_width_scale: float = 1.0) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """Loss gradients of every learnable parameter, keyed like
-    Network.named_parameters(), and layer 1's W1 factor F [batch x units]:
-    the dict has no layers.0.w1, whose gradient is F^T x. A parameter the
-    loss does not reach gets zeros. The window is left as it was, so it can
-    be reversed again.
+             surrogate_width_scale: float = 1.0) -> tuple[list[dict[str, np.ndarray]], np.ndarray]:
+    """Each group's loss gradients of every learnable parameter, one dict
+    per group keyed like Network.named_parameters(), and layer 1's W1 factor
+    F [n x units]: the dicts have no layers.0.w1, whose gradient summed over
+    the groups is F^T x. A group's gradients are of its own mean loss; a
+    parameter the loss does not reach gets zeros. The window is left as it
+    was, so it can be reversed again.
 
     surrogate_width_scale is a fault-injection hook for the gradcheck
     negative control; production callers leave it at 1.
     """
-    bufs, x, t_steps = win.bufs, win.x, win.t_steps
+    bufs, x, t_steps, groups = win.bufs, win.x, win.t_steps, win.groups
     n_layers = len(bufs)
     rho, v_th = win.lif.rho_m, win.lif.v_th
     a = win.lif.a * surrogate_width_scale
     decay, lf, lp = win.decay, win.lambda_f, win.lambda_p
     pure = win.pure_increment
-    inv_b = 1.0 / x.shape[0]
-    first = bufs[0]
+    n, inv_b, first = len(x), 1.0 / win.rows, bufs[0]
+    x_g = x.reshape(groups, win.rows, -1)
 
     p = np.exp(win.logp)
     p[np.arange(len(win.labels)), win.labels] -= 1.0
-    g_counts = p * (1.0 / len(win.labels))
+    g_counts = (p * inv_b).reshape(groups, win.rows, -1)  # each group's mean
 
     g_w1 = [None] * n_layers
-    g_lam = [[None] * 3 for _ in range(n_layers)]
-    g_eta, g_beta = [None] * n_layers, [None] * n_layers
-    g_lf = g_lp = None
+    zero = np.zeros(groups)  # per-group sums start here
+    g_lam = [[zero] * 3 for _ in range(n_layers)]
+    g_eta, g_beta = [zero] * n_layers, [zero] * n_layers
+    g_lf = g_lp = zero
     g_u_next = [None] * n_layers  # membrane potentials of step t+1
     # layer 1: its W1 drive, summed over t = T..1, and its W2/W3 drives
     # (a = x @ W2.T, b = x @ W3.T) leaving step t
     g_c = g_a = g_b = None
+
+    def per_group(values):  # summed over all but the group axis
+        return values.reshape(groups, -1).sum(axis=1)
 
     def reset_term(l):  # spikes of step t through the soft reset of step t+1
         return None if g_u_next[l] is None else (-rho * v_th) * g_u_next[l]
@@ -342,7 +393,7 @@ def backward(win: Window, *,
     cur = 0
     for t in reversed(range(t_steps)):
         prev = 1 - cur
-        # W2/W3 leaving the last step never reach the loss
+        # W2/W3 leaving a group's last step never reach its loss
         plastic = t < t_steps - 1
         g_dw2 = [None] * n_layers
         g_col = [None] * n_layers  # through layer l-1's normalized column totals
@@ -351,41 +402,42 @@ def backward(win: Window, *,
             for l, b in enumerate(bufs):
                 if l == 0:  # in drive form: b(t+1) = d b(t) + e(t) * diag
                     g_fb, inc = g_b, b.e[t]
-                    g_e = g_b * b.diag[t]
+                    g_e = g_b * b.diag[t][:, None]
                 else:
                     g_fb, inc = b.g_w3[cur], b.dw2[t]
-                    gd = np.multiply(g_fb, b.diag[t][:, None], out=b.g_dw2)
+                    gd = np.multiply(g_fb, b.diag[t][:, :, None], out=b.g_dw2)
                     if g_col[l] is not None:
-                        gd += g_col[l]
+                        gd += g_col[l][:, None]
                     g_dw2[l] = gd
                     if t > 0:
                         np.multiply(g_fb, decay, out=b.g_w3[prev])
                 g_mod = np.multiply(g_fb, inc, out=b.tmp if l else None)
                 if l + 1 < n_layers:
-                    g_diag = g_mod.sum(axis=1 if l else 0)  # per unit
-                    g_lf = _plus(g_lf, float((g_diag * b.lift[t]).sum()))
+                    g_diag = g_mod.sum(axis=2 if l else 1)  # per group and unit
+                    g_lf = _plus(g_lf, per_group(g_diag * b.lift[t]))
                     g_lift = lf * g_diag
-                    g_lp = _plus(g_lp, float((g_lift * b.share[t]).sum()))
-                    if not b.degenerate[t]:
-                        g_share = lp * g_lift
-                        g_col[l + 1] = (g_share - (g_share * b.share[t]).sum()) / b.total[t]
+                    g_lp = _plus(g_lp, per_group(g_lift * b.share[t]))
+                    # a degenerate total is infinite: its shares pass no gradient
+                    g_share = lp * g_lift
+                    g_col[l + 1] = ((g_share - (g_share * b.share[t]).sum(axis=1, keepdims=True))
+                                    / b.total[t][:, None])
                 else:  # the top layer's diag is lambda_f
-                    g_lf = _plus(g_lf, float(g_mod.sum()))
+                    g_lf = _plus(g_lf, per_group(g_mod))
 
         g_s = _plus(reset_term(n_layers - 1), g_counts)
         for l in reversed(range(n_layers)):
             b = bufs[l]
-            x_in = x if l == 0 else bufs[l - 1].s[t]
+            x_in = x_g if l == 0 else bufs[l - 1].s[t]
             g_below = reset_term(l - 1) if l > 0 else None
 
             # u(l,t): membrane(t+1), then sigmoid, then spike
             g_u = None if g_u_next[l] is None else rho * g_u_next[l]
             if plastic and l == 0:
-                # q = (eta / B) K @ post feeds a(t+1) = d a + q and e = q
+                # q = (eta / b) K_gg @ post feeds a(t+1) = d a + q and e = q
                 # (+ (d - 1) a with the decay included)
                 g_q = g_a + g_e
-                k_g = first.gram @ g_q
-                g_eta[0] = _plus(g_eta[0], float((k_g * b.post[t]).sum()) * inv_b)
+                k_g = win.gram_blocks @ g_q
+                g_eta[0] = _plus(g_eta[0], per_group(k_g * b.post[t]) * inv_b)
                 g_post = (win.eta[0] * inv_b) * k_g
                 if t > 0:
                     g_a *= decay
@@ -407,12 +459,12 @@ def backward(win: Window, *,
                     part = np.multiply(g_w2, decay, out=b.g_w2[prev])
                     if not pure:
                         part -= g_dw2[l]
-                g_eta[l] = _plus(g_eta[l], float(np.multiply(g_inc, b.om[t], out=b.tmp).sum()))
+                g_eta[l] = _plus(g_eta[l], per_group(np.multiply(g_inc, b.om[t], out=b.tmp)))
                 g_om = np.multiply(g_inc, win.eta[l], out=b.g_om)
-                g_post = inv_b * (x_in @ g_om.T)
+                g_post = inv_b * (x_in @ g_om.swapaxes(1, 2))
                 g_below = _plus(g_below, inv_b * (b.post[t] @ g_om))
             if plastic:
-                g_beta[l] = _plus(g_beta[l], float(g_post.sum()))
+                g_beta[l] = _plus(g_beta[l], per_group(g_post))
                 v = b.sig[t]
                 g_u = _plus(g_u, g_post * v * (1.0 - v))
             if win.spike_identity:
@@ -425,45 +477,45 @@ def backward(win: Window, *,
             # pathway drives W3, W2, W1; spikes below: soft reset(t+1), then
             # this layer's outer mean, W3, W2 and W1 drives
             if l == 0:
-                g_lam[0][2] = _plus(g_lam[0][2], float((g_u * b.drive[t, 2]).sum()))
-                g_lam[0][1] = _plus(g_lam[0][1], float((g_u * b.drive[t, 1]).sum()))
+                g_lam[0][2] = _plus(g_lam[0][2], per_group(g_u * b.drive[t, 2]))
+                g_lam[0][1] = _plus(g_lam[0][1], per_group(g_u * b.drive[t, 1]))
                 g_c = _plus(g_c, g_u)
                 if t > 0:
                     g_b = _plus(g_b, win.lam[0][2] * g_u)
                     g_a = _plus(g_a, win.lam[0][1] * g_u)
                 continue
             for k in (2, 1, 0):
-                g_lam[l][k] = _plus(g_lam[l][k], float((g_u * b.drive[t, k]).sum()))
+                g_lam[l][k] = _plus(g_lam[l][k], per_group(g_u * b.drive[t, k]))
                 g_d = win.lam[l][k] * g_u
+                g_d_t = g_d.swapaxes(1, 2)
                 if k == 0:
                     if g_w1[l] is None:
-                        g_w1[l] = g_d.T @ x_in
+                        g_w1[l] = g_d_t @ x_in
                     else:
-                        g_w1[l] += np.matmul(g_d.T, x_in, out=b.tmp)
+                        g_w1[l] += np.matmul(g_d_t, x_in, out=b.tmp)
                 elif t > 0:
                     # the carried W3 term, or the W2 terms above, come first
                     g_w = (b.g_w3 if k == 2 else b.g_w2)[prev]
                     if plastic:
-                        g_w += np.matmul(g_d.T, x_in, out=b.tmp)
+                        g_w += np.matmul(g_d_t, x_in, out=b.tmp)
                     else:
-                        np.matmul(g_d.T, x_in, out=g_w)
-                w = win.w1[l] if k == 0 else (win.w3 if k == 2 else win.w2)[l][t]
+                        np.matmul(g_d_t, x_in, out=g_w)
+                # W2/W3 entering step t of every group
+                w = win.w1[l] if k == 0 else (b.w3 if k == 2 else b.w2)[t : -1 : t_steps]
                 g_below = _plus(g_below, g_d @ w)
             g_s = g_below
         cur = prev
 
-    g_lam[0][0] = float((g_c * first.drive[0, 0]).sum())
-
-    def scalar(value) -> np.ndarray:
-        return np.asarray(0.0 if value is None else value)
+    g_lam[0][0] = per_group(g_c * first.drive[0, 0])
 
     grads: dict[str, np.ndarray] = {}
     for l in range(n_layers):
         if l:
             grads[f"layers.{l}.w1"] = g_w1[l]
-        grads[f"layers.{l}.lam"] = np.array([0.0 if g is None else g for g in g_lam[l]])
-        grads[f"layers.{l}.eta"] = scalar(g_eta[l])
-        grads[f"layers.{l}.beta"] = scalar(g_beta[l])
-    grads["lambda_f"] = scalar(g_lf)
-    grads["lambda_p"] = scalar(g_lp)
-    return grads, win.lam[0][0] * g_c
+        grads[f"layers.{l}.lam"] = np.stack(g_lam[l], axis=1)
+        grads[f"layers.{l}.eta"] = g_eta[l]
+        grads[f"layers.{l}.beta"] = g_beta[l]
+    grads["lambda_f"] = g_lf
+    grads["lambda_p"] = g_lp
+    return ([{name: g[i] for name, g in grads.items()} for i in range(groups)],
+            (win.lam[0][0] * g_c).reshape(n, -1))

@@ -29,21 +29,25 @@ def random_trial_net(seed: int):
 
 
 def window_gradients(window, **kwargs):
-    """backward's gradients with layer 1's W1 gradient formed from its factor."""
-    grads, factor = backward(window, **kwargs)
+    """A one-group window's gradients, with layer 1's W1 gradient formed
+    from its factor."""
+    (grads,), factor = backward(window, **kwargs)
     return {"layers.0.w1": factor.T @ window.x, **grads}
 
 
-def canonical_batch_events(t_steps: int, n_layers: int) -> list[tuple]:
-    """Per timestep: forward and Hebbian through layers 1..L, then feedback
-    through L..1; one gradient step closes the batch."""
+def canonical_batch_events(t_steps: int, n_layers: int, groups: int) -> list[tuple]:
+    """The events of one training batch whose window runs its items as
+    `groups` groups in turn (1 for a batched step, one per item for a
+    per-item step): per group and timestep, forward and Hebbian through layers 1..L, then feedback through
+    L..1; one gradient step closes the batch."""
     events: list[tuple] = []
-    for t in range(1, t_steps + 1):
-        for l in range(1, n_layers + 1):
-            events.append(("forward", t, l))
-            events.append(("hebbian", t, l))
-        for l in range(n_layers, 0, -1):
-            events.append(("sbp", t, l))
+    for _ in range(groups):
+        for t in range(1, t_steps + 1):
+            for l in range(1, n_layers + 1):
+                events.append(("forward", t, l))
+                events.append(("hebbian", t, l))
+            for l in range(n_layers, 0, -1):
+                events.append(("sbp", t, l))
     events.append(("grad-step",))
     return events
 

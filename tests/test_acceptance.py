@@ -12,6 +12,7 @@ import math
 import os
 import time
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -287,9 +288,16 @@ def test_criterion_5_update_ordering():
     net = network_from_config(cfg)
     events: list = []
     train_epoch(net, data, cfg, Adam(cfg.lr), make_rng(2), events=events)
-    expected = canonical_batch_events(cfg.t_steps, len(net.layers))
+    expected = canonical_batch_events(cfg.t_steps, len(net.layers), 1)
     assert events == expected
-    _report(5, f"one-batch event log matches the canonical {len(expected)}-event schedule")
+    # a per-item step over the same 16 items runs the schedule once per item
+    item_events: list = []
+    item_cfg = replace(cfg, sequential_plasticity=True)
+    train_epoch(network_from_config(item_cfg), data, item_cfg, Adam(cfg.lr), make_rng(2),
+                events=item_events)
+    assert item_events == canonical_batch_events(cfg.t_steps, len(net.layers), len(data))
+    _report(5, f"one-batch event log matches the canonical {len(expected)}-event schedule, "
+               f"and a per-item batch the {len(item_events)}-event one")
 
 
 # --- criterion 6: robustness harness contract ---------------------------------

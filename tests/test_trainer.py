@@ -291,24 +291,62 @@ def test_sequential_mode_matches_batched_steps_at_batch_size_one():
 
 
 def test_per_item_w1_gradient_is_the_mean_of_per_item_products():
-    # a per-item step forms layer 1's W1 gradient as one product over its 10
-    # items; it must equal the mean of each item's own factor^T x product
+    # a per-item step records its 10 items in one window, carrying layer 1's
+    # W2/W3 from item to item through the step's Gram matrix, and reverses
+    # them at once; every gradient must be the mean of 10 batch-1 windows,
+    # each handed the previous one's W2/W3, and the W2/W3 it leaves theirs
     rng = make_rng(23)
-    net = init_network([784, 256, 10], seed=2, lif=LifConfig(), sbp=SbpParams())
     x = (rng.uniform(size=(10, 784)) < 0.2) * rng.uniform(size=(10, 784))
     labels = rng.integers(10, size=10)
-    item_net = copy.deepcopy(net)
-    _loss, grads, _counts = step_gradients(net, x, labels, 8, per_item=True)
-    products = []
-    for i in range(10):
-        window, _ = record_forward(item_net, x[i], labels[i], 8)
-        _grads, factor = backward(window)
-        products.append(factor.T @ x[i : i + 1])
-        for layer, w2, w3 in zip(item_net.layers, window.final_w2, window.final_w3):
-            layer.w2, layer.w3 = w2, w3
-    want = np.mean(products, axis=0)
-    assert np.abs(want).max() > 1e-6
-    npt.assert_allclose(grads["layers.0.w1"], want, rtol=0, atol=1e-12)
+    for includes_decay in (False, True):
+        net = init_network([784, 256, 10], seed=2, lif=LifConfig(),
+                           sbp=SbpParams(delta_includes_decay=includes_decay))
+        for layer in net.layers:  # W2/W3 as a later step finds them
+            layer.w2 = rng.normal(scale=0.01, size=layer.w2.shape)
+            layer.w3 = rng.normal(scale=0.01, size=layer.w3.shape)
+        item_net = copy.deepcopy(net)
+        loss, grads, _counts = step_gradients(net, x, labels, 8, per_item=True)
+        item_losses, item_grads = [], []
+        for i in range(10):
+            window, _ = record_forward(item_net, x[i], labels[i], 8)
+            (one,), factor = backward(window)
+            item_grads.append({"layers.0.w1": factor.T @ x[i : i + 1], **one})
+            item_losses.append(window.loss_value)
+            for layer, w2, w3 in zip(item_net.layers, window.final_w2, window.final_w3):
+                layer.w2, layer.w3 = w2, w3
+        assert loss == pytest.approx(np.mean(item_losses), rel=0, abs=1e-12)
+        assert grads.keys() == item_grads[0].keys()
+        for name in grads:
+            want = np.mean([g[name] for g in item_grads], axis=0)
+            assert np.abs(want).max() > 1e-6, (includes_decay, name)
+            npt.assert_allclose(grads[name], want, rtol=0, atol=1e-12,
+                                err_msg=f"{name}, delta_includes_decay={includes_decay}")
+        for layer, item_layer in zip(net.layers, item_net.layers):
+            npt.assert_allclose(layer.w2, item_layer.w2, rtol=0, atol=1e-12)
+            npt.assert_allclose(layer.w3, item_layer.w3, rtol=0, atol=1e-12)
+
+
+def test_per_item_step_records_one_window(monkeypatch):
+    # the items of a per-item step share one recorded window and one reverse
+    import mpsl.trainer as trainer_module
+
+    calls = {"record_forward": 0, "backward": 0}
+
+    def counted(name):
+        inner = getattr(trainer_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(trainer_module, name, counted(name))
+    rng = make_rng(31)
+    net = init_network([784, 256, 10], seed=4, lif=LifConfig(), sbp=SbpParams())
+    x = (rng.uniform(size=(10, 784)) < 0.2) * rng.uniform(size=(10, 784))
+    step_gradients(net, x, rng.integers(10, size=10), 8, per_item=True)
+    assert calls == {"record_forward": 1, "backward": 1}
 
 
 def test_sequential_mode_differs_from_batched_for_larger_batches():
@@ -465,7 +503,7 @@ def test_event_log_matches_canonical_sequence():
     net = network_from_config(cfg)
     events: list = []
     train_epoch(net, data, cfg, Adam(cfg.lr), make_rng(2), events=events)
-    assert events == canonical_batch_events(cfg.t_steps, len(net.layers))
+    assert events == canonical_batch_events(cfg.t_steps, len(net.layers), 1)
 
 
 def test_nan_state_aborts_with_diagnostics():

@@ -97,7 +97,7 @@ def test_local_learnables_receive_gradient_through_recorded_updates():
     assert abs(float(grads["lambda_p"])) > 0.0
 
 
-def test_tape_window_matches_plasticity_rules_step_by_step():
+def test_window_matches_plasticity_rules_step_by_step():
     # windows of length t = 1..3 must leave the W2/W3 of the scalar-loop
     # oracle run for that many steps
     net, x, label = random_trial_net(58)
@@ -115,7 +115,7 @@ def test_tape_window_matches_plasticity_rules_step_by_step():
             npt.assert_allclose(window.final_w3[l], w3[l], rtol=0, atol=1e-15)
 
 
-def test_batched_tape_with_identical_items_matches_single_item():
+def test_batched_window_with_identical_items_matches_single_item():
     # the batch-mean Hebbian increment of identical rows is the per-item
     # increment, so every row must reproduce the batch-of-one forward
     net, x, label = random_trial_net(61)
