@@ -336,21 +336,24 @@ def _project_fraction_factors(net: Network) -> None:
 
 
 def _mean_gradient_dicts(dicts: list[dict[str, np.ndarray]]) -> dict[str, np.ndarray]:
-    return {name: sum((d[name] for d in dicts[1:]), dicts[0][name]) / len(dicts)
-            for name in dicts[0]}
+    out = {}
+    for name in dicts[0]:
+        total = dicts[0][name].astype(np.float64, copy=True)
+        for d in dicts[1:]:
+            total += d[name]
+        out[name] = total / len(dicts)
+    return out
 
 
 def step_gradients(
     net: Network, x: np.ndarray, labels, t_steps: int, per_item: bool, *,
     events: list | None = None, surrogate_width_scale: float = 1.0,
 ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
-    """The recorded window of one optimizer step (one group of items, or one
-    group per item): its mean loss, its groups' mean gradients keyed like
-    Network.named_parameters(), and the output spike counts [batch x
-    classes]; the W2/W3 leaving it are handed to the network. Layer 1's W1
-    gradient is one product of the W1 factor with the step's inputs.
-    surrogate_width_scale is passed to backward (the gradcheck negative
-    control)."""
+    """The recorded window of one optimizer step (one group, or one per
+    item): its mean loss, its groups' mean gradients keyed like
+    Network.named_parameters() (layer 1's W1 one product of its factor with
+    x), and the output spike counts [batch x classes]. The W2/W3 leaving it
+    are handed to the network. surrogate_width_scale is passed to backward."""
     x = np.asarray(x, dtype=np.float64)
     window, counts = record_forward(net, x, labels, t_steps, per_item=per_item, events=events)
     group_grads, factor = backward(window, surrogate_width_scale=surrogate_width_scale)

@@ -9,13 +9,13 @@ one optimizer step as G groups of b rows: a batched step is one group whose
 Hebbian increments are batch means; a per-item step is n groups of one, run
 in turn, each starting from the W2/W3 that the group before it left. W2/W3
 entering a group are constants to the gradient (the local learnables reach
-the loss only through updates made inside it), so the groups' reverses are
-independent, and backward runs them all at once over [G x b x units]
-arrays. It substitutes the rectangular surrogate for the spike derivative
-and returns each group's gradients for W1, the fusion coefficients, the
-local-rule learnables eta/beta and the global fraction factors, keyed like
-Network.named_parameters(); layer 1's W1 gradient leaves as its factor
-F = lam_1 sum_t g_u(t) [n x units], whose F^T x the trainer forms once.
+the loss only through updates made inside it), so backward runs the groups'
+independent reverses at once over [G x b x units] arrays. It substitutes
+the rectangular surrogate for the spike derivative and returns each group's
+gradients for W1, the fusion coefficients, eta/beta and the fraction
+factors, keyed like Network.named_parameters(); layer 1's W1 gradient
+leaves as its factor F = lam_1 sum_t g_u(t) [n x units] (the trainer forms
+F^T x once).
 
 Layer 1 runs through the step's Gram matrix K = x x^T (the fast-weights
 identity; Ba et al. 2016, arXiv:1610.06258; Schlag, Irie & Schmidhuber
@@ -30,12 +30,11 @@ modulation. Across groups its W2/W3 are carried in factored form,
     W2 = c W2_0 + P^T x,   W3 = c W3_0 + m * W2_0 + Q^T x,
 where each group adds its rows to the [n x units] factors P and Q
 (_carry_input_layer), and the next group's step-1 drives are
-c a_0 + K[g, :] P and c b_0 [+ m * a_0] + K[g, :] Q. Dense W2/W3 are formed
-once, leaving the last group. Per step, layer 1 makes four [n x fan_in]
-products (K and the step-1 drives) and two [units x n] by [n x fan_in] ones
-(the final W2/W3), and a group's step one [b x b] by [b x units] product
-each way. The layers above keep dense W2/W3, with histories of G T + 1
-matrices: a per-item window holds n times the batched one's.
+c a_0 + K[g, :] P and c b_0 [+ m * a_0] + K[g, :] Q. Per step, layer 1 makes
+four [n x fan_in] products (K, the step-1 drives) and two [units x n] by
+[n x fan_in] ones (its final W2/W3), and per group and step a [b x b] by
+[b x units] one each way. The layers above keep dense W2/W3 histories of
+G T + 1 matrices, so a per-item window holds n times a batched one's.
 
 Reproducibility contract: every value is one fixed numpy expression, and a
 gradient with several terms sums them in one fixed order, named where it is
@@ -96,16 +95,15 @@ class _Buffers:
         # column totals of the layer above; infinite where they degenerate
         self.total = np.empty((t_steps, groups))
         mat = (fan_out, fan_in)
+        self.tmp = np.empty(mat if input_layer else (groups, *mat))
         if input_layer:
             n = groups * rows
-            self.tmp = np.empty(mat)
             self.gram = np.empty((n, n))  # K = x @ x.T
             self.e = np.empty(units)  # x @ dW2_t.T, the increment the feedback rule scales
             self.p = np.empty((n, fan_out))  # factored W2/W3 (module docstring)
             self.q = np.empty((n, fan_out))
             self.m = np.empty(fan_out)
             return
-        self.tmp = np.empty((groups, *mat))
         # W2 / W3 entering step t of group g at g T + t; the last leaves the window
         self.w2 = np.empty((groups * t_steps + 1, *mat))
         self.w3 = np.empty((groups * t_steps + 1, *mat))
@@ -210,21 +208,20 @@ def record_forward(
     # W2/W3 drives follow the recurrences from these
     for k, w in enumerate((win.w1[0], win.w2[0], win.w3[0])):
         np.matmul(x, w.T, out=first.drive[0, k].reshape(n, -1))
-    for factor in (first.p, first.q, first.m):
-        factor.fill(0.0)
+    first.m.fill(0.0)
     scale = 1.0  # c, the share of W2_0/W3_0 in layer 1's W2/W3
     hebb_scale = win.eta[0] / rows
     for g in range(groups):
         x_g = x[g * rows : (g + 1) * rows]
-        if g:
-            k_row = first.gram[g * rows : (g + 1) * rows]
+        if g:  # P and Q hold rows of the groups before g only
+            k_row = first.gram[g * rows : (g + 1) * rows, : g * rows]
             a_0, b_0 = first.drive[0, 1, g], first.drive[0, 2, g]
             b_0 *= scale
             if not win.pure_increment:
                 b_0 += a_0 * first.m
-            b_0 += k_row @ first.q
+            b_0 += k_row @ first.q[: g * rows]
             a_0 *= scale
-            a_0 += k_row @ first.p
+            a_0 += k_row @ first.p[: g * rows]
         for t in range(t_steps):
             s_in = x_g
             i = g * t_steps + t
@@ -318,8 +315,7 @@ def _carry_input_layer(win: Window, b: _Buffers, g: int, scale: float) -> float:
         W3' = d^T W3 + r * W2 + (eta/b) R^T x_g,   R = sum_t d^(T-1-t) diag_t * E_t
     where dW2_t = c_t W2 + (eta/b) E_t^T x_g: E_t = post_t and c_t = r = 0
     in pure-increment mode; with the decay included, E_t = (d-1) S_t + post_t
-    (S_t sums the steps before t), c_t = (d-1) d^t, r = (d-1) d^(T-1) sum_t diag_t.
-    """
+    (S_t sums the steps before t), c_t = (d-1) d^t, r = (d-1) d^(T-1) sum_t diag_t."""
     d, t_steps, rows = win.decay, win.t_steps, win.rows
     s_sum = np.zeros_like(b.post[0, g])
     r_sum = np.zeros_like(b.post[0, g])
@@ -331,16 +327,16 @@ def _carry_input_layer(win: Window, b: _Buffers, g: int, scale: float) -> float:
         s_sum += b.post[t, g]
     hebb_scale = win.eta[0] / rows
     d_t = d**t_steps
-    group = slice(g * rows, (g + 1) * rows)
-    b.q *= d_t
+    p, q = b.p[: g * rows], b.q[: g * rows]  # the groups before g
+    q *= d_t
     if not win.pure_increment:
         row = (d - 1.0) * d ** (t_steps - 1) * b.diag[:, g].sum(axis=0)
-        b.q += b.p * row
+        q += p * row
         b.m *= d_t
         b.m += row * scale
-    b.q[group] += hebb_scale * r_sum
-    b.p *= d_t
-    b.p[group] += hebb_scale * s_sum
+    np.multiply(hebb_scale, r_sum, out=b.q[g * rows : (g + 1) * rows])
+    p *= d_t
+    np.multiply(hebb_scale, s_sum, out=b.p[g * rows : (g + 1) * rows])
     return scale * d_t
 
 

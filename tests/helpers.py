@@ -38,8 +38,9 @@ def window_gradients(window, **kwargs):
 def canonical_batch_events(t_steps: int, n_layers: int, groups: int) -> list[tuple]:
     """The events of one training batch whose window runs its items as
     `groups` groups in turn (1 for a batched step, one per item for a
-    per-item step): per group and timestep, forward and Hebbian through layers 1..L, then feedback through
-    L..1; one gradient step closes the batch."""
+    per-item step): per group and timestep, forward and Hebbian through
+    layers 1..L, then feedback through L..1; one gradient step closes the
+    batch."""
     events: list[tuple] = []
     for _ in range(groups):
         for t in range(1, t_steps + 1):
