@@ -146,7 +146,7 @@ class Window:
         self.eta = [float(layer.eta) for layer in layers]
         self.beta = [float(layer.beta) for layer in layers]
         self.lambda_f, self.lambda_p = float(net.lambda_f), float(net.lambda_p)
-        self.w2 = [layers[0].w2, *(b.w2 for b in bufs[1:])]  # layer 1's entering, histories
+        self.w2 = [layers[0].w2, *(b.w2 for b in bufs[1:])]  # layer 1's entering; histories
         self.w3 = [layers[0].w3, *(b.w3 for b in bufs[1:])]
         for layer, b in zip(layers[1:], bufs[1:]):
             b.w2[0], b.w3[0] = layer.w2, layer.w3
@@ -250,7 +250,7 @@ def record_forward(
                 b.sig[t, g] = 1.0 / (1.0 + np.exp(-u))
                 np.add(b.sig[t, g], win.beta[l], out=b.post[t, g])
                 if l == 0:
-                    # q = x @ (eta * mean_b post_b x_b).T = (eta / b) K @ post
+                    # q = x_g @ (eta * mean_b post_b x_b).T = (eta / b) K_gg @ post
                     q = np.matmul(win.gram_blocks[g], b.post[t, g], out=b.e[t, g])
                     q *= hebb_scale
                     if t + 1 < t_steps:
@@ -370,7 +370,7 @@ def backward(win: Window, *,
     g_counts = (p * inv_b).reshape(groups, win.rows, -1)  # each group's mean
 
     g_w1 = [None] * n_layers
-    zero = np.zeros(groups)  # per-group sums start here
+    zero = np.zeros(groups)  # per-group sums start here (never added to in place)
     g_lam = [[zero] * 3 for _ in range(n_layers)]
     g_eta, g_beta = [zero] * n_layers, [zero] * n_layers
     g_lf = g_lp = zero
@@ -410,15 +410,15 @@ def backward(win: Window, *,
                 g_mod = np.multiply(g_fb, inc, out=b.tmp if l else None)
                 if l + 1 < n_layers:
                     g_diag = g_mod.sum(axis=2 if l else 1)  # per group and unit
-                    g_lf = _plus(g_lf, per_group(g_diag * b.lift[t]))
+                    g_lf = g_lf + per_group(g_diag * b.lift[t])
                     g_lift = lf * g_diag
-                    g_lp = _plus(g_lp, per_group(g_lift * b.share[t]))
+                    g_lp = g_lp + per_group(g_lift * b.share[t])
                     # a degenerate total is infinite: its shares pass no gradient
                     g_share = lp * g_lift
                     g_col[l + 1] = ((g_share - (g_share * b.share[t]).sum(axis=1, keepdims=True))
                                     / b.total[t][:, None])
                 else:  # the top layer's diag is lambda_f
-                    g_lf = _plus(g_lf, per_group(g_mod))
+                    g_lf = g_lf + per_group(g_mod)
 
         g_s = _plus(reset_term(n_layers - 1), g_counts)
         for l in reversed(range(n_layers)):
@@ -433,7 +433,7 @@ def backward(win: Window, *,
                 # (+ (d - 1) a with the decay included)
                 g_q = g_a + g_e
                 k_g = win.gram_blocks @ g_q
-                g_eta[0] = _plus(g_eta[0], per_group(k_g * b.post[t]) * inv_b)
+                g_eta[0] = g_eta[0] + per_group(k_g * b.post[t]) * inv_b
                 g_post = (win.eta[0] * inv_b) * k_g
                 if t > 0:
                     g_a *= decay
@@ -455,12 +455,12 @@ def backward(win: Window, *,
                     part = np.multiply(g_w2, decay, out=b.g_w2[prev])
                     if not pure:
                         part -= g_dw2[l]
-                g_eta[l] = _plus(g_eta[l], per_group(np.multiply(g_inc, b.om[t], out=b.tmp)))
+                g_eta[l] = g_eta[l] + per_group(np.multiply(g_inc, b.om[t], out=b.tmp))
                 g_om = np.multiply(g_inc, win.eta[l], out=b.g_om)
                 g_post = inv_b * (x_in @ g_om.swapaxes(1, 2))
                 g_below = _plus(g_below, inv_b * (b.post[t] @ g_om))
             if plastic:
-                g_beta[l] = _plus(g_beta[l], per_group(g_post))
+                g_beta[l] = g_beta[l] + per_group(g_post)
                 v = b.sig[t]
                 g_u = _plus(g_u, g_post * v * (1.0 - v))
             if win.spike_identity:
@@ -473,15 +473,15 @@ def backward(win: Window, *,
             # pathway drives W3, W2, W1; spikes below: soft reset(t+1), then
             # this layer's outer mean, W3, W2 and W1 drives
             if l == 0:
-                g_lam[0][2] = _plus(g_lam[0][2], per_group(g_u * b.drive[t, 2]))
-                g_lam[0][1] = _plus(g_lam[0][1], per_group(g_u * b.drive[t, 1]))
+                g_lam[0][2] = g_lam[0][2] + per_group(g_u * b.drive[t, 2])
+                g_lam[0][1] = g_lam[0][1] + per_group(g_u * b.drive[t, 1])
                 g_c = _plus(g_c, g_u)
                 if t > 0:
                     g_b = _plus(g_b, win.lam[0][2] * g_u)
                     g_a = _plus(g_a, win.lam[0][1] * g_u)
                 continue
             for k in (2, 1, 0):
-                g_lam[l][k] = _plus(g_lam[l][k], per_group(g_u * b.drive[t, k]))
+                g_lam[l][k] = g_lam[l][k] + per_group(g_u * b.drive[t, k])
                 g_d = win.lam[l][k] * g_u
                 g_d_t = g_d.swapaxes(1, 2)
                 if k == 0:
