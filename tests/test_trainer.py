@@ -12,6 +12,7 @@ from mpsl.network import forward_inference, init_network
 from mpsl.neuron import LifConfig, fused_input, membrane_step, spike
 from mpsl.numerics import make_rng
 from mpsl.plasticity import SbpParams, merge_weights
+from mpsl import trainer as trainer_module
 from mpsl.window import backward, record_forward
 from mpsl.trainer import (
     Adam,
@@ -328,8 +329,6 @@ def test_per_item_w1_gradient_is_the_mean_of_per_item_products():
 
 def test_per_item_step_records_one_window(monkeypatch):
     # the items of a per-item step share one recorded window and one reverse
-    import mpsl.trainer as trainer_module
-
     calls = {"record_forward": 0, "backward": 0}
 
     def counted(name):
