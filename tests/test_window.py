@@ -62,15 +62,6 @@ def test_identity_spike_single_step_matches_closed_form():
     npt.assert_allclose(float(grads["layers.0.lam"][0]), p @ o, rtol=1e-10, atol=1e-12)
 
 
-def test_backward_is_deterministic():
-    net, x, label = random_trial_net(21)
-    window, _ = record_forward(net, x, label, t_steps=3)
-    first = window_gradients(window)
-    second = window_gradients(window)
-    for name in first:
-        npt.assert_array_equal(first[name], second[name])
-
-
 def test_gradient_locality_before_first_use():
     # the local rules' updates reach the loss only from the second step on:
     # the step-T update is never used
