@@ -66,13 +66,12 @@ def scaled_net(rng: np.random.Generator, sizes: list[int]) -> Network:
 
 def random_trial(seed: int) -> tuple[Network, np.ndarray, np.ndarray, int, bool]:
     """One gradcheck trial (net, x, labels, t_steps, per_item) at the shapes
-    training runs: depth 2-3, batch 1-4, T 1-4, either delta_includes_decay
-    mode; one trial in eight has a silent input, one in four is per item."""
+    training runs: depth 2-3, batch 1-4, T 1-4; one trial in eight has a
+    silent input, one in four is per item."""
     rng = make_rng(seed)
     depth, batch, t_steps = (int(v) for v in rng.integers((2, 1, 1), (4, 5, 5)))
     sizes = [int(rng.integers(3, 7))] + [int(v) for v in rng.integers(2, 9, size=depth)]
     net = scaled_net(rng, sizes)
-    net.sbp.delta_includes_decay = bool(rng.integers(2))
     x = rng.uniform(0.0, 1.0, size=(batch, sizes[0]))
     if rng.uniform() < 0.125:
         x[:] = 0.0

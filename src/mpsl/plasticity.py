@@ -28,15 +28,13 @@ class SbpParams:
     lambda_f, lambda_p: fraction factors, valid range [0.1, 1] (enforced by
     validate(); the trainer re-projects them there after every step).
     tau_w: decay time constant shared by the W2 and W3 recurrences.
-    delta_includes_decay: when True (default) the Hebbian increment handed
-    to the feedback rule is the full step W2_new - W2_old; when False it is
-    the pure correlation term without the decay part.
+    The feedback rule receives W2's full step W2_new - W2_old, its decay
+    included.
     """
 
     lambda_f: float = 0.5
     lambda_p: float = 0.5
     tau_w: float = 40.0
-    delta_includes_decay: bool = True
 
     def validate(self) -> None:
         if not 0.1 <= self.lambda_f <= 1.0:

@@ -33,7 +33,6 @@ def _window_loss_tangent(net: Network, w2, w3, x, labels, t_steps, coord, spike_
     lif = net.lif
     rho, v_th, a = lif.rho_m, lif.v_th, lif.a
     decay = math.exp(-lif.dt / net.sbp.tau_w)
-    includes_decay = net.sbp.delta_includes_decay
     n_layers = len(net.layers)
 
     w1v = [layer.w1.copy() for layer in net.layers]
@@ -115,11 +114,8 @@ def _window_loss_tangent(net: Network, w2, w3, x, labels, t_steps, coord, spike_
             inc_t = etat[l] * corr_v + etav[l] * corr_t
             w2_new_v = decay * w2v[l] + inc_v
             w2_new_t = decay * w2t[l] + inc_t
-            if includes_decay:
-                dw2v[l] = w2_new_v - w2v[l]
-                dw2t[l] = w2_new_t - w2t[l]
-            else:
-                dw2v[l], dw2t[l] = inc_v, inc_t
+            dw2v[l] = w2_new_v - w2v[l]
+            dw2t[l] = w2_new_t - w2t[l]
             w2v[l], w2t[l] = w2_new_v, w2_new_t
 
             uv[l], ut[l], sv[l], st[l] = u_new, u_tan, s_new, s_tan

@@ -506,7 +506,6 @@ def run_training(
     *,
     command: str = "train",
     resume_from=None,
-    events: list | None = None,
     clock=None,
 ) -> TrainResult:
     cfg.validate()
@@ -530,7 +529,7 @@ def run_training(
     elapsed = clock if clock is not None else _PerfClock()
     rows: list[MetricsRow] = []
     for epoch in range(start_epoch, cfg.epochs):
-        metrics = train_epoch(net, train_ds, cfg, opt, shuffle_rng, epoch, events=events)
+        metrics = train_epoch(net, train_ds, cfg, opt, shuffle_rng, epoch)
         test_acc, test_loss = evaluate(net, test_ds, cfg.t_steps, merged=True)
         lam_str = format_lambdas([layer.lam for layer in net.layers])
         rows.append(MetricsRow(
@@ -585,7 +584,7 @@ class AblateReport:
     learnable_beats_fixed: bool
 
 
-def run_ablation(cfg: TrainConfig, out_dir, seeds: list[int], events=None) -> AblateReport:
+def run_ablation(cfg: TrainConfig, out_dir, seeds: list[int]) -> AblateReport:
     """Fixed / learnable / frozen-learned on a shared seed and data order.
 
     The frozen-learned variant freezes the coefficients learned by the
@@ -602,7 +601,7 @@ def run_ablation(cfg: TrainConfig, out_dir, seeds: list[int], events=None) -> Ab
                 frozen_source=str(source_path) if mode == "frozen-learned" else None,
             )
             mode_out = learnable_dir if mode == "learnable" else None
-            result = run_training(mode_cfg, mode_out, command="ablate", events=events)
+            result = run_training(mode_cfg, mode_out, command="ablate")
             if mode == "learnable":
                 source_path = result.checkpoint_path
             train_rows = [row for row in result.rows if row.split == "train"]

@@ -23,14 +23,14 @@ identity; Ba et al. 2016, arXiv:1610.06258; Schlag, Irie & Schmidhuber
 Hebbian increment (eta/b) post_t^T x_g, and each feedback increment, which
 scales that one's rows, lies in the row span of x_g. Inside group g, its
 drives a_t = x_g W2_t^T and b_t = x_g W3_t^T are therefore exactly
-    q_t = (eta/b) K_gg post_t,   e_t = x_g dW2_t^T = q_t [+ (d-1) a_t],
+    q_t = (eta/b) K_gg post_t,   e_t = x_g dW2_t^T = q_t + (d-1) a_t,
     a_t+1 = d a_t + q_t,         b_t+1 = d b_t + e_t * diag_t,
-where the bracket holds with delta_includes_decay and diag_t is the feedback
-modulation. Across groups its W2/W3 are carried in factored form,
+where dW2_t = W2_t+1 - W2_t and diag_t is the feedback modulation. Across
+groups its W2/W3 are carried in factored form,
     W2 = c W2_0 + P^T x,   W3 = c W3_0 + m * W2_0 + Q^T x,
 where each group adds its rows to the [n x units] factors P and Q
 (_carry_input_layer), and the next group's step-1 drives are
-c a_0 + K[g, :] P and c b_0 [+ m * a_0] + K[g, :] Q. Per step, layer 1 makes
+c a_0 + K[g, :] P and c b_0 + m * a_0 + K[g, :] Q. Per step, layer 1 makes
 four [n x fan_in] products (K, the step-1 drives) and two [units x n] by
 [n x fan_in] ones (its final W2/W3), and per group and step a [b x b] by
 [b x units] one each way. The layers above keep dense W2/W3 histories of
@@ -108,7 +108,7 @@ class _Buffers:
         self.w2 = np.empty((groups * t_steps + 1, *mat))
         self.w3 = np.empty((groups * t_steps + 1, *mat))
         self.om = np.empty((t_steps, groups, *mat))  # batch-mean Hebbian correlation
-        self.dw2 = np.empty((t_steps, groups, *mat))  # increment handed to the feedback rule
+        self.dw2 = np.empty((t_steps, groups, *mat))  # W2_new - W2_old, for the feedback rule
         self.g_w2 = np.empty((2, groups, *mat))  # reverse: W2/W3 leaving steps t and t-1
         self.g_w3 = np.empty((2, groups, *mat))
         self.g_dw2 = np.empty((groups, *mat))
@@ -140,7 +140,6 @@ class Window:
         self.spike_identity = spike_identity
         self.lif = net.lif
         self.decay = net.sbp.decay(net.lif.dt)
-        self.pure_increment = not net.sbp.delta_includes_decay
         self.w1 = [layer.w1 for layer in layers]
         self.lam = [layer.lam.copy() for layer in layers]
         self.eta = [float(layer.eta) for layer in layers]
@@ -217,8 +216,7 @@ def record_forward(
             k_row = first.gram[g * rows : (g + 1) * rows, : g * rows]
             a_0, b_0 = first.drive[0, 1, g], first.drive[0, 2, g]
             b_0 *= scale
-            if not win.pure_increment:
-                b_0 += a_0 * first.m
+            b_0 += a_0 * first.m
             b_0 += k_row @ first.q[: g * rows]
             a_0 *= scale
             a_0 += k_row @ first.p[: g * rows]
@@ -256,18 +254,15 @@ def record_forward(
                     if t + 1 < t_steps:
                         a_next = np.multiply(d[1], decay, out=b.drive[t + 1, 1, g])
                         a_next += q
-                    if not win.pure_increment:
-                        q += (decay - 1.0) * d[1]  # e = (d - 1) a + q
+                    q += (decay - 1.0) * d[1]  # e = (d - 1) a + q
                 else:
                     om = np.matmul(b.post[t, g].T, s_in, out=b.om[t, g])
                     om /= rows
-                    inc = np.multiply(om, win.eta[l],
-                                      out=b.dw2[t, g] if win.pure_increment else b.tmp[g])
+                    inc = np.multiply(om, win.eta[l], out=b.tmp[g])
                     w2_old, w2_new = b.w2[i], b.w2[i + 1]
                     np.multiply(w2_old, decay, out=w2_new)
                     w2_new += inc
-                    if not win.pure_increment:
-                        np.subtract(w2_new, w2_old, out=b.dw2[t, g])
+                    np.subtract(w2_new, w2_old, out=b.dw2[t, g])
                 s_in = b.s[t, g]
 
             for l in reversed(range(n_layers)):
@@ -298,8 +293,7 @@ def record_forward(
     w2 += np.matmul(first.p.T, x, out=first.tmp)
     w3 = np.multiply(win.w3[0], scale)
     w3 += np.matmul(first.q.T, x, out=first.tmp)
-    if not win.pure_increment:
-        w3 += np.multiply(win.w2[0], first.m[:, None], out=first.tmp)
+    w3 += np.multiply(win.w2[0], first.m[:, None], out=first.tmp)
     counts = bufs[-1].s.sum(axis=0).reshape(n, -1)
     win.final_w2 = [w2] + [b.w2[-1].copy() for b in bufs[1:]]
     win.final_w3 = [w3] + [b.w3[-1].copy() for b in bufs[1:]]
@@ -313,14 +307,14 @@ def _carry_input_layer(win: Window, b: _Buffers, g: int, scale: float) -> float:
     new c. Over its T steps, group g takes W2/W3 to
         W2' = d^T W2 + (eta/b) S^T x_g,            S = sum_t d^(T-1-t) post_t
         W3' = d^T W3 + r * W2 + (eta/b) R^T x_g,   R = sum_t d^(T-1-t) diag_t * E_t
-    where dW2_t = c_t W2 + (eta/b) E_t^T x_g: E_t = post_t and c_t = r = 0
-    in pure-increment mode; with the decay included, E_t = (d-1) S_t + post_t
-    (S_t sums the steps before t), c_t = (d-1) d^t, r = (d-1) d^(T-1) sum_t diag_t."""
+    where dW2_t = W2_t+1 - W2_t = c_t W2 + (eta/b) E_t^T x_g, with
+    E_t = (d-1) S_t + post_t (S_t sums the steps before t), c_t = (d-1) d^t
+    and r = (d-1) d^(T-1) sum_t diag_t."""
     d, t_steps, rows = win.decay, win.t_steps, win.rows
     s_sum = np.zeros_like(b.post[0, g])
     r_sum = np.zeros_like(b.post[0, g])
     for t in range(t_steps):
-        e = b.post[t, g] if win.pure_increment else (d - 1.0) * s_sum + b.post[t, g]
+        e = (d - 1.0) * s_sum + b.post[t, g]
         r_sum *= d
         r_sum += b.diag[t, g] * e
         s_sum *= d
@@ -329,11 +323,10 @@ def _carry_input_layer(win: Window, b: _Buffers, g: int, scale: float) -> float:
     d_t = d**t_steps
     p, q = b.p[: g * rows], b.q[: g * rows]  # the groups before g
     q *= d_t
-    if not win.pure_increment:
-        row = (d - 1.0) * d ** (t_steps - 1) * b.diag[:, g].sum(axis=0)
-        q += p * row
-        b.m *= d_t
-        b.m += row * scale
+    row = (d - 1.0) * d ** (t_steps - 1) * b.diag[:, g].sum(axis=0)
+    q += p * row
+    b.m *= d_t
+    b.m += row * scale
     np.multiply(hebb_scale, r_sum, out=b.q[g * rows : (g + 1) * rows])
     p *= d_t
     np.multiply(hebb_scale, s_sum, out=b.p[g * rows : (g + 1) * rows])
@@ -361,7 +354,6 @@ def backward(win: Window, *,
     rho, v_th = win.lif.rho_m, win.lif.v_th
     a = win.lif.a * surrogate_width_scale
     decay, lf, lp = win.decay, win.lambda_f, win.lambda_p
-    pure = win.pure_increment
     n, inv_b, first = len(x), 1.0 / win.rows, bufs[0]
     x_g = x.reshape(groups, win.rows, -1)
 
@@ -429,32 +421,25 @@ def backward(win: Window, *,
             # u(l,t): membrane(t+1), then sigmoid, then spike
             g_u = None if g_u_next[l] is None else rho * g_u_next[l]
             if plastic and l == 0:
-                # q = (eta / b) K_gg @ post feeds a(t+1) = d a + q and e = q
-                # (+ (d - 1) a with the decay included)
+                # q = (eta / b) K_gg @ post feeds a(t+1) = d a + q and
+                # e = q + (d - 1) a
                 g_q = g_a + g_e
                 k_g = win.gram_blocks @ g_q
                 g_eta[0] = g_eta[0] + per_group(k_g * b.post[t]) * inv_b
                 g_post = (win.eta[0] * inv_b) * k_g
                 if t > 0:
                     g_a *= decay
-                    if not pure:
-                        g_a += (decay - 1.0) * g_e
+                    g_a += (decay - 1.0) * g_e
                     g_b *= decay
             elif plastic:
                 # W2 leaving step t: -g_dw2(t+1), decay*g_w2(t+1), the W2 drive,
-                # then +g_dw2(t); in pure-increment mode the increment's own
-                # gradient is (column-total + feedback terms) + the W2 term
-                g_w2 = b.g_w2[cur]
-                if pure:
-                    g_inc = g_dw2[l]
-                    g_inc += g_w2
-                else:
-                    g_w2 += g_dw2[l]
-                    g_inc = g_w2
+                # then +g_dw2(t); the increment reaches the loss only through
+                # that W2, so its gradient is the same sum
+                g_inc = b.g_w2[cur]
+                g_inc += g_dw2[l]
                 if t > 0:
-                    part = np.multiply(g_w2, decay, out=b.g_w2[prev])
-                    if not pure:
-                        part -= g_dw2[l]
+                    part = np.multiply(g_inc, decay, out=b.g_w2[prev])
+                    part -= g_dw2[l]
                 g_eta[l] = g_eta[l] + per_group(np.multiply(g_inc, b.om[t], out=b.tmp))
                 g_om = np.multiply(g_inc, win.eta[l], out=b.g_om)
                 g_post = inv_b * (x_in @ g_om.swapaxes(1, 2))

@@ -54,6 +54,9 @@ def window_oracle(layers, xs, t_steps, lif, lambda_f, lambda_p, tau_w, includes_
     numbers), eta and beta. Per timestep: for layers 1..L the fused input,
     the LIF step and the batch-mean Hebbian step on W2; then the feedback
     step on W3 for layers L..1. Returns the final (w2, w3) of every layer.
+    includes_decay hands the feedback step W2_new - W2_old, as training
+    does; False hands it the bare Hebbian increment, a rule that training
+    does not run, which serves as a negative control.
     """
     v_th, rho_m, dt = lif["v_th"], lif["rho_m"], lif["dt"]
     decay = math.exp(-dt / tau_w)

@@ -170,10 +170,8 @@ def test_criterion_1_plasticity_oracle_equality():
         sizes = [int(v) for v in rng.integers(1, 8, size=int(rng.integers(2, 5)))]
         t_steps = int(rng.integers(1, 5))
         batch = int(rng.integers(1, 5))
-        includes_decay = bool(rng.integers(2))
         sequential = bool(rng.integers(2))
-        sbp = SbpParams(tau_w=float(rng.uniform(5.0, 200.0)),
-                        delta_includes_decay=includes_decay)
+        sbp = SbpParams(tau_w=float(rng.uniform(5.0, 200.0)))
         lif = LifConfig(v_th=0.3, rho_m=float(rng.uniform(0.2, 1.0)))
         net = init_network(sizes, seed=trial, lif=lif, sbp=sbp)
         # zeroed local pathways let whole column totals vanish exactly
@@ -199,24 +197,24 @@ def test_criterion_1_plasticity_oracle_equality():
         train_epoch(net, data, cfg, Adam(cfg.lr), make_rng(trial))
 
         trial_coverage = Counter()
-        expected = _oracle_windows(start, batches, t_steps, includes_decay, trial_coverage)
+        expected = _oracle_windows(start, batches, t_steps, True, trial_coverage)
         worst = max(worst, _max_error(net, expected))
-        flipped = _oracle_windows(start, batches, t_steps, not includes_decay)
+        # negative control: the feedback rule handed the bare Hebbian increment
+        flipped = _oracle_windows(start, batches, t_steps, False)
         flipped_worst = max(flipped_worst, _max_error(net, flipped))
         coverage.update({k: 1 for k in trial_coverage})
-        coverage["includes decay" if includes_decay else "pure increment"] += 1
         coverage["batch > 1"] += batch > 1
         coverage["depth 1"] += len(sizes) == 2
         coverage["sequential"] += sequential
     seconds = time.perf_counter() - t0
     assert worst <= 1e-12
-    assert flipped_worst > 1e-12, "oracle with the decay mode flipped still agrees"
-    for case in ("top layer", "degenerate normalization", "includes decay",
-                 "pure increment", "batch > 1", "sequential", "depth 1"):
+    assert flipped_worst > 1e-12, "oracle with the bare increment still agrees"
+    for case in ("top layer", "degenerate normalization", "batch > 1", "sequential",
+                 "depth 1"):
         assert coverage[case] >= 1, f"no trial covered: {case}"
     assert seconds < 5.0
     _report(1, f"150 train_epoch windows, max abs error {worst:.2e} "
-               f"(flipped decay mode: {flipped_worst:.2e}) in {seconds:.2f}s; "
+               f"(bare-increment oracle: {flipped_worst:.2e}) in {seconds:.2f}s; "
                f"trials per case {dict(sorted(coverage.items()))}")
 
 

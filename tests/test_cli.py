@@ -64,6 +64,15 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "learning_rate" in capsys.readouterr().err
 
 
+def test_removed_feedback_increment_switch_exits_2(tmp_path, capsys):
+    # the feedback rule has one increment, W2_new - W2_old; a config that
+    # still selects one by the old sbp key is refused, whichever value it holds
+    for value in (True, False):
+        config = write_config(tmp_path, sbp={"tau_w": 40.0, "delta_includes_decay": value})
+        assert main(["train", "--config", str(config)]) == 2
+        assert "delta_includes_decay" in capsys.readouterr().err
+
+
 def test_empty_blobs_split_exits_2(tmp_path, capsys):
     config = write_config(tmp_path, blobs={"n_per_class": 0})
     assert main(["train", "--config", str(config)]) == 2
@@ -128,6 +137,16 @@ def test_eval_checkpoint_with_a_misshaped_entry_exits_2(trained, tmp_path, capsy
     save_checkpoint(path, ckpt.config_json, ckpt.epoch, ckpt.rng_state, ckpt.entries)
     assert main(["eval", "--checkpoint", str(path)]) == 2
     assert "layers.0.w2" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_storing_the_removed_switch_exits_2(trained, tmp_path, capsys):
+    ckpt = load_checkpoint(trained["checkpoint"])
+    config = ckpt.config
+    config["sbp"]["delta_includes_decay"] = True
+    path = tmp_path / "old-config.ckpt"
+    save_checkpoint(path, json.dumps(config), ckpt.epoch, ckpt.rng_state, ckpt.entries)
+    assert main(["eval", "--checkpoint", str(path)]) == 2
+    assert "delta_includes_decay" in capsys.readouterr().err
 
 
 def test_eval_missing_checkpoint_exits_2(tmp_path, capsys):

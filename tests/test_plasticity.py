@@ -111,22 +111,6 @@ def test_hebbian_matches_bruteforce_oracle():
         assert np.abs(w2[0] - np.array(expected)).max() <= 1e-12
 
 
-def test_hebbian_pure_increment_mode():
-    # the top layer's feedback step receives the bare increment, not W2_new - W2_old
-    sbp = SbpParams(tau_w=40.0, delta_includes_decay=False)
-    net = init_network([3, 2], seed=22, lif=LifConfig(), sbp=sbp)
-    layer = net.layers[0]
-    w2_old, w3_old = layer.w2.copy(), layer.w3.copy()
-    s_prev = np.array([1.0, 0.0, 1.0])
-    w2, w3, recorded = window(net, s_prev)
-    u_post = recorded.u[0][0, 0]
-    increment = float(layer.eta) * np.outer(1 / (1 + np.exp(-u_post)) + float(layer.beta), s_prev)
-    decay = sbp.decay(1.0)
-    npt.assert_allclose(w2[0], w2_old * decay + increment, rtol=0, atol=1e-15)
-    npt.assert_allclose(w3[0], w3_old * decay + float(net.lambda_f) * increment,
-                        rtol=0, atol=1e-15)
-
-
 # --- feedback (sbp) rule ---------------------------------------------------
 
 
@@ -171,7 +155,7 @@ def test_feedback_modulation_range_for_nonnegative_totals():
     for _ in range(50):
         sizes = [int(v) for v in rng.integers(1, 8, size=3)]
         net = init_network(sizes, seed=int(rng.integers(1 << 31)), lif=LifConfig(),
-                           sbp=SbpParams(delta_includes_decay=False))
+                           sbp=SbpParams())
         for layer in net.layers:
             layer.w2 = np.zeros_like(layer.w2)
             layer.w3 = np.zeros_like(layer.w3)
@@ -188,9 +172,9 @@ def test_feedback_modulation_range_for_nonnegative_totals():
 
 
 def test_feedback_update_without_hebbian_signal_is_pure_decay():
-    # silent input and bare increments: layer 1's increment is zero
-    net = init_network([4, 3, 5], seed=31, lif=LifConfig(),
-                       sbp=SbpParams(tau_w=40.0, delta_includes_decay=False))
+    # silent input and layer 1's W2 at zero: its W2 step is zero
+    net = init_network([4, 3, 5], seed=31, lif=LifConfig(), sbp=SbpParams(tau_w=40.0))
+    net.layers[0].w2 = np.zeros_like(net.layers[0].w2)
     w3_before = net.layers[0].w3.copy()
     _, w3, _ = window(net, np.zeros(4))
     npt.assert_allclose(w3[0], w3_before * SbpParams(tau_w=40.0).decay(1.0), rtol=0, atol=1e-15)

@@ -41,6 +41,15 @@ def test_dead_surrogate_means_zero_gradients():
         npt.assert_array_equal(grad, np.zeros_like(grad), err_msg=name)
 
 
+def test_backward_is_deterministic():
+    net, x, label = random_trial_net(21)
+    window, _ = record_forward(net, x, label, t_steps=3)
+    first = window_gradients(window)
+    second = window_gradients(window)
+    for name in first:
+        npt.assert_array_equal(first[name], second[name])
+
+
 def test_identity_spike_single_step_matches_closed_form():
     # one layer, T=1, only the gradient path active: O = W1 @ x, so
     # dL/dW1 = (softmax(O) - onehot) x^T and dlam1 = (softmax(O)-onehot) . (W1 x)
@@ -99,8 +108,7 @@ def test_window_matches_plasticity_rules_step_by_step():
     for t in range(1, 4):
         window, _ = record_forward(net, x, label, t)
         w2, w3 = window_oracle(layers, [x.tolist()], t, lif, float(net.lambda_f),
-                               float(net.lambda_p), net.sbp.tau_w,
-                               net.sbp.delta_includes_decay)
+                               float(net.lambda_p), net.sbp.tau_w, True)
         for l in range(len(net.layers)):
             npt.assert_allclose(window.final_w2[l], w2[l], rtol=0, atol=1e-15)
             npt.assert_allclose(window.final_w3[l], w3[l], rtol=0, atol=1e-15)
