@@ -39,7 +39,6 @@ class CheckpointError(ValueError):
 @dataclass
 class Checkpoint:
     config_json: str
-    config_hash: bytes
     epoch: int
     rng_state: dict
     entries: dict[str, np.ndarray]
@@ -125,8 +124,7 @@ def load_checkpoint(path) -> Checkpoint:
     if version != FORMAT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {version}")
     config_json = r.take(r.u32()).decode("utf-8")
-    stored_hash = r.take(32)
-    if stored_hash != config_hash_bytes(config_json):
+    if r.take(32) != config_hash_bytes(config_json):
         raise CheckpointError(f"{path}: config hash mismatch")
     epoch = r.u32()
     rng_state = json.loads(r.take(r.u32()).decode("utf-8"))
@@ -142,7 +140,6 @@ def load_checkpoint(path) -> Checkpoint:
         entries[name] = payload.astype(np.float64).reshape(dims)  # astype copies
     return Checkpoint(
         config_json=config_json,
-        config_hash=stored_hash,
         epoch=epoch,
         rng_state=rng_state,
         entries=entries,

@@ -28,21 +28,19 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError, atomic_write
-from .data import IdxFormatError, PerturbationSpec, perturb_dataset
+from .checkpoint import atomic_write
+from .data import PerturbationSpec, perturb_dataset
 from .gradcheck import run_gradcheck
 from .metrics import MetricsRow, format_lambdas, write_metrics_csv
 from .network import forward_inference
 from .trainer import (
     ConfigError,
     NumericAbortError,
+    checkpoint_with_test_split,
     evaluate,
     load_config_file,
-    load_datasets,
     make_run_id,
-    network_from_checkpoint,
     run_ablation,
-    run_rngs,
     run_training,
 )
 
@@ -80,9 +78,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    net, cfg, ckpt = network_from_checkpoint(args.checkpoint)
-    data_rng, _shuffle_rng = run_rngs(cfg.seed)
-    _train_ds, test_ds = load_datasets(cfg, data_rng)
+    net, cfg, ckpt, test_ds = checkpoint_with_test_split(args.checkpoint)
     t0 = time.perf_counter()
     acc, loss = evaluate(net, test_ds, cfg.t_steps, merged=args.merged)
     variant = "merged" if args.merged else "unmerged"
@@ -119,9 +115,7 @@ def _seed_flag(seed: int | None, default: int) -> int:
 
 
 def cmd_robustness(args) -> int:
-    net, cfg, ckpt = network_from_checkpoint(args.checkpoint)
-    data_rng, _shuffle_rng = run_rngs(cfg.seed)
-    _train_ds, test_ds = load_datasets(cfg, data_rng)
+    net, cfg, _ckpt, test_ds = checkpoint_with_test_split(args.checkpoint)
     kinds = [part.strip() for part in args.kinds.split(",") if part.strip()]
     if not kinds:
         raise ConfigError("--kinds: need at least one kind")
@@ -200,9 +194,7 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_export_features(args) -> int:
-    net, cfg, _ckpt = network_from_checkpoint(args.checkpoint)
-    data_rng, _shuffle_rng = run_rngs(cfg.seed)
-    _train_ds, test_ds = load_datasets(cfg, data_rng)
+    net, cfg, _ckpt, test_ds = checkpoint_with_test_split(args.checkpoint)
     n = args.n_samples
     if n < 1:
         raise ConfigError("--n-samples: must be >= 1")
@@ -285,10 +277,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ConfigError, CheckpointError, IdxFormatError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except ValueError as err:
+    except ValueError as err:  # ConfigError, CheckpointError and IdxFormatError among them
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except NumericAbortError as err:

@@ -19,6 +19,7 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 PERTURBATION_KINDS = ("gaussian", "salt-pepper", "center-crop")
+BLOB_LOW, BLOB_HIGH = 0.2, 0.8  # synthetic_blobs' mean pixel off and on its class block
 
 
 class IdxFormatError(ValueError):
@@ -75,11 +76,10 @@ class PerturbationSpec:
 
 
 def _open_maybe_gzip(path: Path):
-    if path.suffix == ".gz":
-        return gzip.open(path, "rb")
-    if not path.exists() and path.with_name(path.name + ".gz").exists():
-        return gzip.open(path.with_name(path.name + ".gz"), "rb")
-    return open(path, "rb")
+    for candidate in (path, path.with_name(path.name + ".gz")):
+        if candidate.exists():
+            return (gzip.open if candidate.suffix == ".gz" else open)(candidate, "rb")
+    raise IdxFormatError(f"IDX file not found: {path}")
 
 
 def _read_exact(f, n: int, path) -> bytes:
@@ -132,13 +132,11 @@ def synthetic_blobs(
     classes: int,
     dim: int,
     sigma: float = 0.05,
-    mean_low: float = 0.2,
-    mean_high: float = 0.8,
 ) -> Dataset:
     """Gaussian blobs around class-dependent mean patterns, clamped to [0, 1].
 
-    Class c's mean vector is mean_high on its own block of ~dim/classes
-    dimensions and mean_low elsewhere, so every class carries the same total
+    Class c's mean vector is BLOB_HIGH on its own block of ~dim/classes
+    dimensions and BLOB_LOW elsewhere, so every class carries the same total
     input mass and classes differ by which dimensions are hot (a count
     readout separates patterns far more reliably than intensity levels).
     """
@@ -150,8 +148,8 @@ def synthetic_blobs(
     images = np.empty((classes * n_per_class, dim))
     labels = np.empty(classes * n_per_class, dtype=np.int64)
     for c in range(classes):
-        mean = np.full(dim, mean_low)
-        mean[edges[c] : edges[c + 1]] = mean_high
+        mean = np.full(dim, BLOB_LOW)
+        mean[edges[c] : edges[c + 1]] = BLOB_HIGH
         block = slice(c * n_per_class, (c + 1) * n_per_class)
         images[block] = mean + rng.normal(scale=sigma, size=(n_per_class, dim))
         labels[block] = c

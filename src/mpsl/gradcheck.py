@@ -64,19 +64,27 @@ def scaled_net(rng: np.random.Generator, sizes: list[int]) -> Network:
     return net
 
 
+# (per item, live input, fewest items) of consecutive trials, in turn
+_KINDS = ((False, True, 1), (True, True, 3), (False, True, 2), (True, True, 1),
+          (False, False, 1))
+
+
 def random_trial(seed: int) -> tuple[Network, np.ndarray, np.ndarray, int, bool]:
     """One gradcheck trial (net, x, labels, t_steps, per_item) at the shapes
-    training runs: depth 2-3, batch 1-4, T 1-4; one trial in eight has a
-    silent input, one in four is per item."""
+    training runs. Consecutive seeds take the kinds of _KINDS in turn, and T
+    1-4 over depths 2 and 3 in turn, so any 40 consecutive seeds hold every
+    kind at every (depth, T); the remaining draws are random. Every five
+    trials hold a silent input and a per-item step over 3 or more live
+    items, whose third item starts from the W2/W3 two items carried."""
+    per_item, live, fewest = _KINDS[seed % len(_KINDS)]
+    depth, t_steps = 2 + seed // 4 % 2, 1 + seed % 4
     rng = make_rng(seed)
-    depth, batch, t_steps = (int(v) for v in rng.integers((2, 1, 1), (4, 5, 5)))
+    batch = int(rng.integers(fewest, 5))
     sizes = [int(rng.integers(3, 7))] + [int(v) for v in rng.integers(2, 9, size=depth)]
     net = scaled_net(rng, sizes)
-    x = rng.uniform(0.0, 1.0, size=(batch, sizes[0]))
-    if rng.uniform() < 0.125:
-        x[:] = 0.0
+    x = rng.uniform(0.0, 1.0, size=(batch, sizes[0])) if live else np.zeros((batch, sizes[0]))
     labels = rng.integers(sizes[-1], size=batch)
-    return net, x, labels, t_steps, bool(rng.uniform() < 0.25)
+    return net, x, labels, t_steps, per_item
 
 
 def run_gradcheck(trials: int, seed: int, *, surrogate_width_scale: float = 1.0) -> GradcheckResult:

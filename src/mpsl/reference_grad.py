@@ -27,7 +27,7 @@ from .network import Network
 _EPS_SUM = 1e-8
 
 
-def _window_loss_tangent(net: Network, w2, w3, x, labels, t_steps, coord, spike_identity):
+def _window_loss_tangent(net: Network, w2, w3, x, labels, t_steps, coord):
     """(d loss / d coord, final W2, final W3) of one window that starts
     from the W2/W3 lists w2, w3."""
     lif = net.lif
@@ -97,11 +97,8 @@ def _window_loss_tangent(net: Network, w2, w3, x, labels, t_steps, coord, spike_
             )
             u_new = rho * (uv[l] - v_th * sv[l]) + iv
             u_tan = rho * (ut[l] - v_th * st[l]) + it
-            if spike_identity:
-                s_new, s_tan = u_new, u_tan
-            else:
-                s_new = (u_new >= v_th).astype(np.float64)
-                s_tan = (np.abs(u_new - v_th) < a / 2.0) / a * u_tan
+            s_new = (u_new >= v_th).astype(np.float64)
+            s_tan = (np.abs(u_new - v_th) < a / 2.0) / a * u_tan
 
             sig = 1.0 / (1.0 + np.exp(-u_new))
             sig_t = sig * (1.0 - sig) * u_tan
@@ -154,24 +151,23 @@ def _window_loss_tangent(net: Network, w2, w3, x, labels, t_steps, coord, spike_
 
 def reference_gradients(
     net: Network, x, labels, t_steps: int, *, per_item: bool = False,
-    spike_identity: bool = False,
 ) -> dict[str, np.ndarray]:
     """Loss gradients for every learnable, each from its own tangent pass,
-    keyed like Network.named_parameters(). x is [batch x n_in] (a 1-D item
-    is batch 1) and labels holds one class per item. per_item gives the
-    gradient of a sequential_plasticity step instead: the mean over items of
-    each item's window gradients, each window starting from the W2/W3 that
-    the previous item's window left."""
+    keyed like Network.named_parameters(). Spikes are binary; each pass
+    takes the rectangular surrogate for their derivative. x is [batch x
+    n_in] (a 1-D item is batch 1) and labels holds one class per item.
+    per_item gives the gradient of a sequential_plasticity step instead:
+    the mean over items of each item's window gradients, each window
+    starting from the W2/W3 that the previous item's window left."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     labels = np.atleast_1d(np.asarray(labels, dtype=np.int64))
     windows = [(x[i : i + 1], labels[i : i + 1]) for i in range(len(x))] if per_item else [(x, labels)]
     starts = [([layer.w2 for layer in net.layers], [layer.w3 for layer in net.layers])]
     for xs, ys in windows[:-1]:
-        starts.append(_window_loss_tangent(net, *starts[-1], xs, ys, t_steps, ("lambda_f",),
-                                           spike_identity)[1:])
+        starts.append(_window_loss_tangent(net, *starts[-1], xs, ys, t_steps, ("lambda_f",))[1:])
 
     def d(coord) -> float:
-        return sum(_window_loss_tangent(net, *start, xs, ys, t_steps, coord, spike_identity)[0]
+        return sum(_window_loss_tangent(net, *start, xs, ys, t_steps, coord)[0]
                    for start, (xs, ys) in zip(starts, windows)) / len(windows)
 
     grads: dict[str, np.ndarray] = {}

@@ -240,18 +240,21 @@ def load_datasets(cfg: TrainConfig, data_rng: np.random.Generator) -> tuple[Data
         train = synthetic_blobs(data_rng, b.n_per_class, b.classes, b.dim, b.sigma)
         test = synthetic_blobs(data_rng, b.test_n_per_class, b.classes, b.dim, b.sigma)
         return train, test
-    img_name, lab_name = MNIST_FILES["train"]
-    timg_name, tlab_name = MNIST_FILES["test"]
+    return _idx_split(cfg, "train"), _idx_split(cfg, "test")
+
+
+def _idx_split(cfg: TrainConfig, split: str) -> Dataset:
+    """One split of an IDX dataset, checked against the config's layer sizes."""
+    img_name, lab_name = MNIST_FILES[split]
     root = Path(cfg.data_dir)
-    train = load_idx(root / img_name, root / lab_name)
-    test = load_idx(root / timg_name, root / tlab_name)
-    dim = train.width * train.height
-    if cfg.layer_sizes[0] != dim or cfg.layer_sizes[-1] != train.num_classes:
+    data = load_idx(root / img_name, root / lab_name)
+    dim = data.width * data.height
+    if cfg.layer_sizes[0] != dim or cfg.layer_sizes[-1] != data.num_classes:
         raise ConfigError(
             f"field 'layer_sizes': dataset wants {dim} inputs and "
-            f"{train.num_classes} classes, got {cfg.layer_sizes}"
+            f"{data.num_classes} classes, got {cfg.layer_sizes}"
         )
-    return train, test
+    return data
 
 
 # --- optimizer ---------------------------------------------------------------
@@ -263,11 +266,10 @@ class Adam:
     p -= lr (m / bias1) / (sqrt(v / bias2) + eps), in that ufunc order, in
     per-parameter scratch arrays that checkpoints do not save."""
 
-    def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+
+    def __init__(self, lr: float):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.step_count = 0
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
@@ -351,18 +353,15 @@ def step_gradients(
 ) -> tuple[float, dict[str, np.ndarray], np.ndarray]:
     """The recorded window of one optimizer step (one group, or one per
     item): its mean loss, its groups' mean gradients keyed like
-    Network.named_parameters() (layer 1's W1 one product of its factor with
-    x), and the output spike counts [batch x classes]. The W2/W3 leaving it
-    are handed to the network. surrogate_width_scale is passed to backward."""
-    x = np.asarray(x, dtype=np.float64)
+    Network.named_parameters(), and the output spike counts [batch x
+    classes]. The W2/W3 leaving it are handed to the network.
+    surrogate_width_scale is passed to backward."""
     window, counts = record_forward(net, x, labels, t_steps, per_item=per_item, events=events)
-    group_grads, factor = backward(window, surrogate_width_scale=surrogate_width_scale)
-    for idx, layer in enumerate(net.layers):
-        layer.w2 = window.final_w2[idx]
-        layer.w3 = window.final_w3[idx]
+    group_grads, g_w1 = backward(window, surrogate_width_scale=surrogate_width_scale)
+    for layer, w2, w3 in zip(net.layers, window.final_w2, window.final_w3):
+        layer.w2, layer.w3 = w2, w3
     grads = _mean_gradient_dicts(group_grads)
-    grads["layers.0.w1"] = factor.T @ x
-    grads["layers.0.w1"] /= window.groups
+    grads["layers.0.w1"] = g_w1
     return window.loss_value, grads, counts
 
 
@@ -489,6 +488,17 @@ def network_from_checkpoint(path) -> tuple[Network, TrainConfig, Checkpoint]:
     return restore_network(cfg, ckpt), cfg, ckpt
 
 
+def checkpoint_with_test_split(path) -> tuple[Network, TrainConfig, Checkpoint, Dataset]:
+    """network_from_checkpoint plus the run's test split, for the commands
+    that only read a trained run. IDX data reads only the test pair; blobs
+    data draws its train split first, as training did, so the test split
+    has the same bytes."""
+    net, cfg, ckpt = network_from_checkpoint(path)
+    if cfg.dataset != "synthetic-blobs":
+        return net, cfg, ckpt, _idx_split(cfg, "test")
+    return net, cfg, ckpt, load_datasets(cfg, run_rngs(cfg.seed)[0])[1]
+
+
 # --- full runs ---------------------------------------------------------------
 
 
@@ -506,7 +516,6 @@ def run_training(
     *,
     command: str = "train",
     resume_from=None,
-    clock=None,
 ) -> TrainResult:
     cfg.validate()
     run_id = make_run_id(cfg, command)
@@ -526,24 +535,19 @@ def run_training(
         net = network_from_config(cfg)
         opt = Adam(cfg.lr)
 
-    elapsed = clock if clock is not None else _PerfClock()
+    t0 = time.perf_counter()
     rows: list[MetricsRow] = []
     for epoch in range(start_epoch, cfg.epochs):
         metrics = train_epoch(net, train_ds, cfg, opt, shuffle_rng, epoch)
         test_acc, test_loss = evaluate(net, test_ds, cfg.t_steps, merged=True)
         lam_str = format_lambdas([layer.lam for layer in net.layers])
-        rows.append(MetricsRow(
-            run_id=run_id, command=command, variant=cfg.lambda_mode,
-            epoch_or_level=str(epoch), split="train",
-            loss=metrics.mean_loss, accuracy=metrics.accuracy, accuracy_sd=0.0,
-            lambda_values=lam_str, seed=cfg.seed, wall_clock_s=elapsed(),
-        ))
-        rows.append(MetricsRow(
-            run_id=run_id, command=command, variant=cfg.lambda_mode,
-            epoch_or_level=str(epoch), split="test",
-            loss=test_loss, accuracy=test_acc, accuracy_sd=0.0,
-            lambda_values=lam_str, seed=cfg.seed, wall_clock_s=elapsed(),
-        ))
+        for split, loss, acc in (("train", metrics.mean_loss, metrics.accuracy),
+                                 ("test", test_loss, test_acc)):
+            rows.append(MetricsRow(
+                run_id=run_id, command=command, variant=cfg.lambda_mode,
+                epoch_or_level=str(epoch), split=split, loss=loss, accuracy=acc, accuracy_sd=0.0,
+                lambda_values=lam_str, seed=cfg.seed, wall_clock_s=time.perf_counter() - t0,
+            ))
 
     checkpoint_path = None
     if out_dir is not None:
@@ -559,14 +563,6 @@ def run_training(
     final_acc = rows[-1].accuracy if rows else 0.0
     return TrainResult(rows=rows, checkpoint_path=checkpoint_path, net=net,
                        final_test_accuracy=final_acc)
-
-
-class _PerfClock:
-    def __init__(self):
-        self._t0 = time.perf_counter()
-
-    def __call__(self) -> float:
-        return time.perf_counter() - self._t0
 
 
 def _plain_rng_state(rng: np.random.Generator) -> dict:

@@ -12,10 +12,10 @@ entering a group are constants to the gradient (the local learnables reach
 the loss only through updates made inside it), so backward runs the groups'
 independent reverses at once over [G x b x units] arrays. It substitutes
 the rectangular surrogate for the spike derivative and returns each group's
-gradients for W1, the fusion coefficients, eta/beta and the fraction
-factors, keyed like Network.named_parameters(); layer 1's W1 gradient
-leaves as its factor F = lam_1 sum_t g_u(t) [n x units] (the trainer forms
-F^T x once).
+gradients for the fusion coefficients, eta/beta, the fraction factors and
+the W1 of layers 2..L, keyed like Network.named_parameters(), and layer 1's
+W1 gradient averaged over the groups, formed once from its factor
+F = lam_1 sum_t g_u(t) [n x units] as F^T x / G.
 
 Layer 1 runs through the step's Gram matrix K = x x^T (the fast-weights
 identity; Ba et al. 2016, arXiv:1610.06258; Schlag, Irie & Schmidhuber
@@ -61,7 +61,9 @@ from .numerics import ShapeMismatchError, normalize_simplex
 
 # Spare workspaces by window shape. A window writes every workspace value it
 # reads, so reuse carries nothing between windows. Two shapes are kept: a
-# full batch and a short last batch.
+# full batch and a short last batch. The pool keeps a workspace's pages
+# mapped between windows (16 MB at the desk shape, 11 MB for a 10-item
+# per-item step), so a step does not fault them in again.
 _SPARE_SHAPES = 2
 _spare: dict[tuple, list[_Buffers]] = {}
 
@@ -125,19 +127,18 @@ def _release(key: tuple, bufs: list[_Buffers]) -> None:
 class Window:
     """A recorded training window.
 
-    loss_value, counts ([n x classes] output spike counts) and
-    final_w2/final_w3 (per layer) are the forward's results, in arrays of
-    their own. u and s hold each layer's membrane potentials and spikes as
-    [T x n x units] arrays. W1 and layer 1's W2/W3 entering the window are
-    held by reference: reverse the window before changing them in place.
+    loss_value and final_w2/final_w3 (per layer) are the forward's results,
+    in arrays of their own. u and s hold each layer's membrane potentials
+    and spikes as [T x n x units] arrays. W1 and layer 1's W2/W3 entering
+    the window are held by reference: reverse the window before changing
+    them in place.
     """
 
     def __init__(self, net: Network, x: np.ndarray, labels: np.ndarray, groups: int,
-                 t_steps: int, spike_identity: bool, bufs: list[_Buffers]):
+                 t_steps: int, bufs: list[_Buffers]):
         layers = net.layers
         self.x, self.labels, self.groups, self.t_steps = x, labels, groups, t_steps
         self.bufs = bufs
-        self.spike_identity = spike_identity
         self.lif = net.lif
         self.decay = net.sbp.decay(net.lif.dt)
         self.w1 = [layer.w1 for layer in layers]
@@ -156,7 +157,7 @@ class Window:
         self.final_w2 = self.final_w3 = None
         self.u = [b.u.reshape(t_steps, len(x), -1) for b in bufs]
         self.s = [b.s.reshape(t_steps, len(x), -1) for b in bufs]
-        self.counts = self.logp = None
+        self.logp = None
         self.loss_value = float("nan")
 
 
@@ -167,7 +168,6 @@ def record_forward(
     t_steps: int,
     *,
     per_item: bool = False,
-    spike_identity: bool = False,
     events: list | None = None,
 ) -> tuple[Window, np.ndarray]:
     """Record the training window of one optimizer step.
@@ -198,7 +198,7 @@ def record_forward(
     ]
     first = bufs[0]
     np.matmul(x, x.T, out=first.gram)
-    win = Window(net, x, labels, groups, t_steps, spike_identity, bufs)
+    win = Window(net, x, labels, groups, t_steps, bufs)
     weakref.finalize(win, _release, key, bufs)
 
     decay, lf, lp = win.decay, win.lambda_f, win.lambda_p
@@ -238,10 +238,7 @@ def record_forward(
                 else:
                     u_prev, s_prev = b.u[t - 1, g], b.s[t - 1, g]
                 u = membrane_step(u_prev, s_prev, i_in, net.lif, out=b.u[t, g])
-                if spike_identity:
-                    b.s[t, g] = u
-                else:
-                    spike(u, net.lif, out=b.s[t, g])
+                spike(u, net.lif, out=b.s[t, g])
 
                 if events is not None:
                     events.append(("hebbian", t + 1, l + 1))
@@ -297,7 +294,6 @@ def record_forward(
     counts = bufs[-1].s.sum(axis=0).reshape(n, -1)
     win.final_w2 = [w2] + [b.w2[-1].copy() for b in bufs[1:]]
     win.final_w3 = [w3] + [b.w3[-1].copy() for b in bufs[1:]]
-    win.counts = counts
     win.loss_value, win.logp = softmax_xent(counts, labels)
     return win, counts
 
@@ -340,11 +336,11 @@ def _plus(total, term):
 def backward(win: Window, *,
              surrogate_width_scale: float = 1.0) -> tuple[list[dict[str, np.ndarray]], np.ndarray]:
     """Each group's loss gradients of every learnable parameter, one dict
-    per group keyed like Network.named_parameters(), and layer 1's W1 factor
-    F [n x units]: the dicts have no layers.0.w1, whose gradient summed over
-    the groups is F^T x. A group's gradients are of its own mean loss; a
-    parameter the loss does not reach gets zeros. The window is left as it
-    was, so it can be reversed again.
+    per group keyed like Network.named_parameters(), and layer 1's W1
+    gradient averaged over the groups: the dicts have no layers.0.w1, which
+    is formed once as F^T x / G from its factor F [n x units]. A group's
+    gradients are of its own mean loss; a parameter the loss does not reach
+    gets zeros. The window is left as it was, so it can be reversed again.
 
     surrogate_width_scale is a fault-injection hook for the gradcheck
     negative control; production callers leave it at 1.
@@ -448,11 +444,8 @@ def backward(win: Window, *,
                 g_beta[l] = g_beta[l] + per_group(g_post)
                 v = b.sig[t]
                 g_u = _plus(g_u, g_post * v * (1.0 - v))
-            if win.spike_identity:
-                g_u = _plus(g_u, g_s)
-            else:
-                rect = (np.abs(b.u[t] - v_th) < a / 2.0) / a
-                g_u = _plus(g_u, g_s * rect)
+            rect = (np.abs(b.u[t] - v_th) < a / 2.0) / a
+            g_u = _plus(g_u, g_s * rect)
             g_u_next[l] = g_u
 
             # pathway drives W3, W2, W1; spikes below: soft reset(t+1), then
@@ -498,5 +491,6 @@ def backward(win: Window, *,
         grads[f"layers.{l}.beta"] = g_beta[l]
     grads["lambda_f"] = g_lf
     grads["lambda_p"] = g_lp
-    return ([{name: g[i] for name, g in grads.items()} for i in range(groups)],
-            (win.lam[0][0] * g_c).reshape(n, -1))
+    g_w1_in = (win.lam[0][0] * g_c).reshape(n, -1).T @ x
+    g_w1_in /= groups
+    return [{name: g[i] for name, g in grads.items()} for i in range(groups)], g_w1_in

@@ -28,11 +28,10 @@ def random_trial_net(seed: int):
     return net, x, int(rng.integers(sizes[-1]))
 
 
-def window_gradients(window, **kwargs):
-    """A one-group window's gradients, with layer 1's W1 gradient formed
-    from its factor."""
-    (grads,), factor = backward(window, **kwargs)
-    return {"layers.0.w1": factor.T @ window.x, **grads}
+def window_gradients(window):
+    """A one-group window's gradients, keyed like Network.named_parameters()."""
+    (grads,), g_w1 = backward(window)
+    return {"layers.0.w1": g_w1, **grads}
 
 
 def canonical_batch_events(t_steps: int, n_layers: int, groups: int) -> list[tuple]:

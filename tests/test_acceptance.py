@@ -206,11 +206,13 @@ def test_criterion_1_plasticity_oracle_equality():
         coverage["batch > 1"] += batch > 1
         coverage["depth 1"] += len(sizes) == 2
         coverage["sequential"] += sequential
+        coverage["sequential over >= 3 items, non-zero input"] += (
+            sequential and batch >= 3 and bool(x.any()))
     seconds = time.perf_counter() - t0
     assert worst <= 1e-12
     assert flipped_worst > 1e-12, "oracle with the bare increment still agrees"
     for case in ("top layer", "degenerate normalization", "batch > 1", "sequential",
-                 "depth 1"):
+                 "sequential over >= 3 items, non-zero input", "depth 1"):
         assert coverage[case] >= 1, f"no trial covered: {case}"
     assert seconds < 5.0
     _report(1, f"150 train_epoch windows, max abs error {worst:.2e} "

@@ -92,6 +92,51 @@ def test_empty_idx_split_exits_2(tmp_path, capsys):
     assert str(images) in capsys.readouterr().err
 
 
+def test_missing_idx_file_exits_2_naming_the_path(tmp_path, capsys):
+    config = write_config(tmp_path, dataset="mnist", data_dir=str(tmp_path),
+                          layer_sizes=[784, 16, 10])
+    assert main(["train", "--config", str(config)]) == 2
+    err = capsys.readouterr().err
+    assert str(tmp_path / "train-images-idx3-ubyte") in err and "not found" in err
+
+
+def write_idx_split(root, split, rng, n):
+    """An IDX image/label pair of n random 28x28 items, named as in MNIST."""
+    pixels = rng.integers(256, size=n * 784, dtype=np.uint8).tobytes()
+    labels = rng.integers(10, size=n, dtype=np.uint8).tobytes()
+    header = struct.pack(">IIII", 0x803, n, 28, 28)
+    (root / f"{split}-images-idx3-ubyte").write_bytes(header + pixels)
+    (root / f"{split}-labels-idx1-ubyte").write_bytes(struct.pack(">II", 0x801, n) + labels)
+
+
+def test_read_only_commands_need_only_the_test_split(tmp_path):
+    # eval, robustness and export-features read a run's test split alone:
+    # without the train IDX files they write what they write with them
+    data = tmp_path / "data"
+    data.mkdir()
+    rng = np.random.default_rng(5)
+    write_idx_split(data, "train", rng, 20)
+    write_idx_split(data, "t10k", rng, 12)
+    config = write_config(tmp_path, dataset="mnist", data_dir=str(data),
+                          layer_sizes=[784, 8, 10], t_steps=2, epochs=1, batch_size=10)
+    ckpt = tmp_path / "run" / "model.ckpt"
+    assert main(["train", "--config", str(config), "--out-dir", str(ckpt.parent)]) == 0
+
+    def read_only(out):
+        assert main(["eval", "--checkpoint", str(ckpt), "--out-dir", str(out)]) == 0
+        assert main(["robustness", "--checkpoint", str(ckpt), "--kinds", "gaussian",
+                     "--levels", "0.1", "--out-dir", str(out)]) == 0
+        assert main(["export-features", "--checkpoint", str(ckpt), "--n-samples", "12",
+                     "--out", str(out / "features.csv")]) == 0
+        return [strip_wall_clock(out / "eval.csv"), strip_wall_clock(out / "robustness.csv"),
+                (out / "features.csv").read_bytes()]
+
+    with_train = read_only(tmp_path / "with")
+    for name in ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"):
+        (data / name).unlink()
+    assert read_only(tmp_path / "without") == with_train
+
+
 def test_malformed_json_exits_2(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{not json")

@@ -1,13 +1,14 @@
+from collections import Counter
+
 import numpy as np
 import numpy.testing as npt
 
-from mpsl.gradcheck import group_error, random_trial, run_gradcheck
+from mpsl.gradcheck import random_trial, run_gradcheck
 from mpsl.neuron import LifConfig
 from mpsl.plasticity import SbpParams
 from mpsl.reference_grad import reference_gradients
-from mpsl.window import record_forward
 
-from helpers import random_trial_net, window_gradients, zero_network
+from helpers import zero_network
 
 
 def test_zero_network_has_zero_gradients():
@@ -48,29 +49,22 @@ def test_backward_agrees_with_oracle_on_random_networks():
 
 
 def test_gradcheck_draws_cover_the_training_shapes():
-    # the default `mpsl gradcheck` trials reach batch > 1, depth 3, every
-    # window length 1-4, a silent input and a per-item step over 3 or more
-    # live items, whose third item starts from W2/W3 that two items carried
-    seen = set()
+    # the default `mpsl gradcheck` trials reach batch > 1, depth 3, window
+    # lengths 1 and 4 and a silent input, and hold at least 8 per-item steps
+    # over 3 or more live items, whose third item starts from W2/W3 that two
+    # items carried
+    seen = Counter()
     for k in range(50):
         net, x, labels, t_steps, per_item = random_trial(20240501 + k)
         assert x.shape == (len(labels), net.layers[0].fan_in)
-        seen |= {("depth", len(net.layers)), ("batch > 1", x.shape[0] > 1), ("T", t_steps),
-                 ("silent", not x.any()),
-                 ("per-item step over >= 3 live items",
-                  per_item and x.shape[0] >= 3 and x.any())}
-    for case in (("depth", 2), ("depth", 3), ("batch > 1", True), ("T", 1), ("T", 4),
-                 ("silent", True), ("per-item step over >= 3 live items", True)):
-        assert case in seen, case
-
-
-def test_agreement_with_identity_spike_double():
-    net, x, label = random_trial_net(57)
-    window, _ = record_forward(net, x, label, t_steps=2, spike_identity=True)
-    got = window_gradients(window)
-    want = reference_gradients(net, x, label, t_steps=2, spike_identity=True)
-    for name in got:
-        assert group_error(got[name], want[name]) <= 1e-6, name
+        seen.update({("depth", len(net.layers)), ("batch > 1", x.shape[0] > 1), ("T", t_steps),
+                     ("silent", not x.any()),
+                     ("per-item step over >= 3 live items",
+                      per_item and x.shape[0] >= 3 and bool(x.any()))})
+    quotas = {("depth", 2): 1, ("depth", 3): 1, ("batch > 1", True): 1, ("T", 1): 1,
+              ("T", 4): 1, ("silent", True): 1, ("per-item step over >= 3 live items", True): 8}
+    for case, least in quotas.items():
+        assert seen[case] >= least, (case, seen[case])
 
 
 def test_corrupted_surrogate_width_is_detected():

@@ -50,25 +50,33 @@ def test_backward_is_deterministic():
         npt.assert_array_equal(first[name], second[name])
 
 
-def test_identity_spike_single_step_matches_closed_form():
-    # one layer, T=1, only the gradient path active: O = W1 @ x, so
-    # dL/dW1 = (softmax(O) - onehot) x^T and dlam1 = (softmax(O)-onehot) . (W1 x)
+def test_binary_spike_single_step_matches_closed_form():
+    # one layer, T=1, only the gradient path active: U = W1 @ x and O =
+    # spike(U), so with the rectangular surrogate rect(U) = 1/a on
+    # |U - v_th| < a/2, g = (softmax(O) - onehot) * rect(U) gives
+    # dL/dW1 = g x^T and dlam1 = g . (W1 x)
     rng = make_rng(13)
-    net = zero_net([4, 3])
-    net.layers[0].w1 = rng.normal(size=(3, 4))
+    net = zero_net([4, 6])
+    net.layers[0].w1 = rng.normal(scale=0.5, size=(6, 4))
     net.layers[0].lam = np.array([1.0, 0.0, 0.0])
     x = rng.uniform(size=4)
     label = 2
-    window, counts = record_forward(net, x, label, t_steps=1, spike_identity=True)
+    window, counts = record_forward(net, x, label, t_steps=1)
     grads = window_gradients(window)
 
-    o = net.layers[0].w1 @ x
-    npt.assert_allclose(counts[0], o, rtol=0, atol=1e-15)
-    p = np.exp(o - o.max())
+    lif = net.lif
+    u = net.layers[0].w1 @ x
+    npt.assert_array_equal(counts[0], u >= lif.v_th)
+    rect = (np.abs(u - lif.v_th) < lif.a / 2.0) / lif.a
+    # spiking and silent units, each inside and outside the window
+    assert {(bool(s), bool(r)) for s, r in zip(counts[0], rect)} == {
+        (True, True), (True, False), (False, True), (False, False)}
+    p = np.exp(counts[0] - counts[0].max())
     p /= p.sum()
     p[label] -= 1.0
-    npt.assert_allclose(grads["layers.0.w1"], np.outer(p, x), rtol=1e-10, atol=1e-12)
-    npt.assert_allclose(float(grads["layers.0.lam"][0]), p @ o, rtol=1e-10, atol=1e-12)
+    g = p * rect
+    npt.assert_allclose(grads["layers.0.w1"], np.outer(g, x), rtol=1e-10, atol=1e-12)
+    npt.assert_allclose(float(grads["layers.0.lam"][0]), g @ u, rtol=1e-10, atol=1e-12)
 
 
 def test_gradient_locality_before_first_use():
@@ -145,10 +153,10 @@ def test_windows_alive_together_keep_their_own_state():
                    *window.final_w3]
         alone.append((results, [r.copy() for r in results]))
         del window
-    first, _ = record_forward(net, x, label, t_steps=3)
-    second, _ = record_forward(net, x2, label, t_steps=3)
-    for window, (results, copies) in zip((second, first), reversed(alone)):
-        again = [window.counts, *window_gradients(window).values(), *window.final_w2,
+    first = record_forward(net, x, label, t_steps=3)
+    second = record_forward(net, x2, label, t_steps=3)
+    for (window, counts), (results, copies) in zip((second, first), reversed(alone)):
+        again = [counts, *window_gradients(window).values(), *window.final_w2,
                  *window.final_w3]
         for got, kept, want in zip(again, results, copies):
             npt.assert_array_equal(got, want)
