@@ -78,7 +78,11 @@ class PerturbationSpec:
 def _open_maybe_gzip(path: Path):
     for candidate in (path, path.with_name(path.name + ".gz")):
         if candidate.exists():
-            return (gzip.open if candidate.suffix == ".gz" else open)(candidate, "rb")
+            if candidate.suffix == ".gz":
+                return gzip.open(candidate, "rb")
+            # unbuffered, so that read() returns the rest in one bytes object
+            # rather than joining it to what a buffer holds
+            return open(candidate, "rb", buffering=0)
     raise IdxFormatError(f"IDX file not found: {path}")
 
 
@@ -89,14 +93,24 @@ def _read_exact(f, n: int, path) -> bytes:
     return data
 
 
+def _read_payload(f, n: int, path) -> np.ndarray:
+    """The n payload bytes that follow the header, as uint8. The file's own
+    bytes are read and counted, so a corrupt header's size is never used as
+    a read length."""
+    data = f.read()
+    if len(data) < n:
+        raise IdxFormatError(
+            f"short read in {path}: the header declares {n} bytes, the file holds {len(data)}")
+    return np.frombuffer(data, dtype=np.uint8, count=n)
+
+
 def load_idx_images(path) -> tuple[np.ndarray, int, int]:
     path = Path(path)
     with _open_maybe_gzip(path) as f:
         magic, count, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, path))
         if magic != IDX_IMAGE_MAGIC:
             raise IdxFormatError(f"{path} is not an IDX file (image magic {magic:#010x})")
-        payload = _read_exact(f, count * rows * cols, path)
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)
+        pixels = _read_payload(f, count * rows * cols, path).reshape(count, rows * cols)
     return pixels / 255.0, rows, cols  # float64, in one pass
 
 
@@ -106,8 +120,8 @@ def load_idx_labels(path) -> np.ndarray:
         magic, count = struct.unpack(">II", _read_exact(f, 8, path))
         if magic != IDX_LABEL_MAGIC:
             raise IdxFormatError(f"{path} is not an IDX file (label magic {magic:#010x})")
-        payload = _read_exact(f, count, path)
-    return np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
+        labels = _read_payload(f, count, path)
+    return labels.astype(np.int64)
 
 
 def load_idx(images_path, labels_path) -> Dataset:

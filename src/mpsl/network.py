@@ -119,7 +119,7 @@ def forward_inference(
     drive_in = x @ merged_w[0].T if merged else fused_input(net.layers[0], x)
     shapes = [(batch, layer.fan_out) for layer in net.layers]
     u = [np.zeros(shape) for shape in shapes]
-    u_spare = [np.empty(shape) for shape in shapes]  # the next step's potentials
+    u_next = [np.empty(shape) for shape in shapes]  # the next step's potentials
     s = [np.zeros(shape) for shape in shapes]
     drive = [drive_in] + [np.empty(shape) for shape in shapes[1:]]
     counts = np.zeros((batch, net.num_classes))
@@ -129,8 +129,8 @@ def forward_inference(
                 np.matmul(s[idx - 1], merged_w[idx].T, out=drive[idx])
             elif idx:
                 drive[idx] = fused_input(layer, s[idx - 1])
-            u_new = membrane_step(u[idx], s[idx], drive[idx], lif, out=u_spare[idx])
-            u_spare[idx], u[idx] = u[idx], u_new
+            u_new = membrane_step(u[idx], s[idx], drive[idx], lif, out=u_next[idx])
+            u_next[idx], u[idx] = u[idx], u_new
             spike(u_new, lif, out=s[idx])
         counts += s[-1]
     penultimate_u = u[-2] if len(net.layers) >= 2 else u[-1]

@@ -44,29 +44,15 @@ layer 1's weights differ from the dense kernel's at rounding level; on the
 seeds checked, the 60-step desk prefix kept its spikes, losses and accuracy.
 Groups left a batched window's bytes unchanged; a per-item window can
 differ at rounding level from n batch-1 windows run in turn.
-
-The large per-step arrays live in a workspace that a window owns while it
-is alive and that later windows of the same shape reuse.
 """
 
 from __future__ import annotations
-
-import weakref
 
 import numpy as np
 
 from .network import Network
 from .neuron import membrane_step, spike
 from .numerics import ShapeMismatchError, normalize_simplex
-
-# Spare workspaces by window shape. A window writes every workspace value it
-# reads, so reuse carries nothing between windows. Two shapes are kept: a
-# full batch and a short last batch. The pool keeps a workspace's pages
-# mapped between windows (16 MB at the desk shape, 11 MB for a 10-item
-# per-item step), so a step does not fault them in again.
-_SPARE_SHAPES = 2
-_spare: dict[tuple, list[_Buffers]] = {}
-
 
 def softmax_xent(scores: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy of [batch x classes] scores, and the
@@ -77,7 +63,7 @@ def softmax_xent(scores: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndar
 
 
 class _Buffers:
-    """One layer's arrays for one window shape: the forward values that the
+    """One layer's arrays for one window: the forward values that the
     reverse reads, indexed by timestep and then group, and the reverse's
     scratch matrices. Layer 1 keeps drives and factors (module docstring)
     where the layers above keep dense W2/W3 histories."""
@@ -115,13 +101,6 @@ class _Buffers:
         self.g_w3 = np.empty((2, groups, *mat))
         self.g_dw2 = np.empty((groups, *mat))
         self.g_om = np.empty((groups, *mat))
-
-
-def _release(key: tuple, bufs: list[_Buffers]) -> None:
-    _spare.pop(key, None)
-    _spare[key] = bufs
-    while len(_spare) > _SPARE_SHAPES:
-        del _spare[next(iter(_spare))]
 
 
 class Window:
@@ -191,15 +170,11 @@ def record_forward(
 
     n = x.shape[0]
     groups, rows = (n, 1) if per_item else (1, n)
-    key = (groups, rows, t_steps, tuple(net.layer_sizes))
-    bufs = _spare.pop(key, None) or [
-        _Buffers(groups, rows, t_steps, layer.fan_in, layer.fan_out, l == 0)
-        for l, layer in enumerate(net.layers)
-    ]
+    bufs = [_Buffers(groups, rows, t_steps, layer.fan_in, layer.fan_out, l == 0)
+            for l, layer in enumerate(net.layers)]
     first = bufs[0]
     np.matmul(x, x.T, out=first.gram)
     win = Window(net, x, labels, groups, t_steps, bufs)
-    weakref.finalize(win, _release, key, bufs)
 
     decay, lf, lp = win.decay, win.lambda_f, win.lambda_p
     n_layers = len(bufs)

@@ -59,6 +59,16 @@ def test_load_idx_rejects_wrong_magic(tmp_path):
         load_idx(img, lab)
 
 
+def test_load_idx_rejects_a_header_larger_than_the_file(tmp_path):
+    # (2^32 - 1)(2^16 - 1)^2 bytes: more than a read length can even index
+    pixels = np.zeros((2, 2, 2), dtype=np.uint8)
+    img, lab = write_idx_pair(tmp_path, pixels, [0, 1])
+    img.write_bytes(struct.pack(">IIII", 0x803, 0xFFFFFFFF, 0xFFFF, 0xFFFF) + pixels.tobytes())
+    with pytest.raises(IdxFormatError, match="short read") as err:
+        load_idx(img, lab)
+    assert str(img) in str(err.value)
+
+
 def test_load_idx_rejects_count_mismatch(tmp_path):
     pixels = np.zeros((3, 2, 2), dtype=np.uint8)
     img, lab = write_idx_pair(tmp_path, pixels, [0, 1])

@@ -28,7 +28,7 @@ from mpsl.trainer import (
     train_epoch,
 )
 
-from helpers import canonical_batch_events, zero_network
+from helpers import zero_network
 
 
 def blobs_config(classes=4, dim=32, hidden=64, epochs=2, seed=1, batch=16, lr=1e-3):
@@ -489,18 +489,6 @@ def test_single_sample_overfit():
 
 
 # --- schedule and guards ----------------------------------------------------
-
-
-def test_event_log_matches_canonical_sequence():
-    cfg = blobs_config()
-    cfg.blobs.n_per_class = 4  # one batch of 16
-    cfg.blobs.test_n_per_class = 2
-    cfg.batch_size = 16
-    data = synthetic_blobs(make_rng(1), 4, 4, 32, 0.05)
-    net = network_from_config(cfg)
-    events: list = []
-    train_epoch(net, data, cfg, Adam(cfg.lr), make_rng(2), events=events)
-    assert events == canonical_batch_events(cfg.t_steps, len(net.layers), 1)
 
 
 def test_nan_state_aborts_with_diagnostics():

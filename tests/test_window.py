@@ -1,5 +1,5 @@
 """The recorded training window (mpsl.window): forward results, the reverse,
-and the reuse of its workspace."""
+and the independence of windows alive at the same time."""
 
 import math
 import tracemalloc
@@ -7,7 +7,6 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 
-from mpsl import window as window_module
 from mpsl.gradcheck import group_error
 from mpsl.network import init_network
 from mpsl.neuron import LifConfig
@@ -141,9 +140,9 @@ def test_group_error_handles_zero_pairs():
 
 
 def test_windows_alive_together_keep_their_own_state():
-    # a window's workspace is reused only once the window is gone: windows
-    # recorded before either is reversed reverse as each one alone, and no
-    # returned array changes when later windows run
+    # each window owns its arrays: windows recorded before either is
+    # reversed reverse as each one alone, and no returned array changes when
+    # later windows run
     net, x, label = random_trial_net(70)
     x2 = make_rng(70).uniform(size=x.shape)
     alone = []
@@ -165,13 +164,12 @@ def test_windows_alive_together_keep_their_own_state():
 
 def test_desk_window_peak_memory():
     # layer 1 keeps its plastic state as [batch x units] drives: one window
-    # at the desk shape (784-256-10, T=8, batch 100) with a fresh workspace
-    # peaks below 30 MB, where per-step 256x784 W2/W3 histories took 78 MB
+    # at the desk shape (784-256-10, T=8, batch 100) peaks below 30 MB,
+    # where per-step 256x784 W2/W3 histories took 78 MB
     rng = make_rng(8)
     net = init_network([784, 256, 10], seed=1, lif=LifConfig(), sbp=SbpParams())
     x = (rng.uniform(size=(100, 784)) < 0.2) * rng.uniform(size=(100, 784))
     labels = rng.integers(10, size=100)
-    window_module._spare.clear()
     tracemalloc.start()
     try:
         window, _ = record_forward(net, x, labels, t_steps=8)
