@@ -128,28 +128,28 @@ def cmd_robustness(args) -> int:
     lam_str = format_lambdas([layer.lam for layer in net.layers])
     t0 = time.perf_counter()
 
+    sweep = [(level, PerturbationSpec(kind, level)) for kind in kinds
+             for level in sorted(levels if levels is not None else DEFAULT_LEVELS[kind])]
+    for _level, spec in sweep:  # a bad level fails before the first evaluation
+        spec.validate(test_ds.width, test_ds.height)
     rows = []
-    for kind in kinds:
-        kind_levels = sorted(levels if levels is not None else DEFAULT_LEVELS[kind])
-        for level in kind_levels:
-            spec = PerturbationSpec(kind, level)
-            spec.validate(test_ds.width, test_ds.height)
-            # center-crop ignores the seed: one evaluation stands for every
-            # seed, so the row keeps its five-seed mean and spread
-            draws = 1 if kind == "center-crop" else N_ROBUSTNESS_SEEDS
-            results = [evaluate(net, perturb_dataset(test_ds, spec, seed=base_seed + i),
-                                cfg.t_steps, merged=True) for i in range(draws)]
-            results *= N_ROBUSTNESS_SEEDS // draws
-            accs = [acc for acc, _loss in results]
-            losses = [loss for _acc, loss in results]
-            rows.append(MetricsRow(
-                run_id=run_id, command="robustness", variant=kind,
-                epoch_or_level=repr(spec.level), split="test",
-                loss=float(np.mean(losses)), accuracy=float(np.mean(accs)),
-                accuracy_sd=float(np.std(accs)), lambda_values=lam_str,
-                seed=base_seed, wall_clock_s=time.perf_counter() - t0,
-            ))
-            _p(f"{kind} level {level}: accuracy {np.mean(accs):.4f} +- {np.std(accs):.4f}")
+    for level, spec in sweep:
+        # center-crop ignores the seed: one evaluation stands for every
+        # seed, so the row keeps its five-seed mean and spread
+        draws = 1 if spec.kind == "center-crop" else N_ROBUSTNESS_SEEDS
+        results = [evaluate(net, perturb_dataset(test_ds, spec, seed=base_seed + i),
+                            cfg.t_steps, merged=True) for i in range(draws)]
+        results *= N_ROBUSTNESS_SEEDS // draws
+        accs = [acc for acc, _loss in results]
+        losses = [loss for _acc, loss in results]
+        rows.append(MetricsRow(
+            run_id=run_id, command="robustness", variant=spec.kind,
+            epoch_or_level=repr(spec.level), split="test",
+            loss=float(np.mean(losses)), accuracy=float(np.mean(accs)),
+            accuracy_sd=float(np.std(accs)), lambda_values=lam_str,
+            seed=base_seed, wall_clock_s=time.perf_counter() - t0,
+        ))
+        _p(f"{spec.kind} level {level}: accuracy {np.mean(accs):.4f} +- {np.std(accs):.4f}")
     out_dir = Path(args.out_dir)
     write_metrics_csv(out_dir / "robustness.csv", rows)
     _p(f"sweep written to {out_dir / 'robustness.csv'}")

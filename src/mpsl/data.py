@@ -2,7 +2,8 @@
 evaluation-time input corruptions.
 
 Perturbations are applied at evaluation time only; training data always
-passes through untouched.
+passes through untouched. The random ones read two streams per seed row by
+row, so item i's corruption depends only on (seed, i).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 
 PERTURBATION_KINDS = ("gaussian", "salt-pepper", "center-crop")
+PERTURB_BLOCK_ROWS = 128  # items drawn at a time; bounds the draws' memory, not their values
 BLOB_LOW, BLOB_HIGH = 0.2, 0.8  # synthetic_blobs' mean pixel off and on its class block
 
 
@@ -181,11 +183,13 @@ def synthetic_blobs(
 def perturb_dataset(ds: Dataset, spec: PerturbationSpec, seed: int) -> Dataset:
     """Corrupt every image of a split; the pixels stay in [0, 1].
 
-    Gaussian and salt-pepper draw from one generator per item, spawned from
-    SeedSequence(seed), so each item's corruption is reproducible and does
-    not depend on the other items; Gaussian noise is clipped once, over the
-    whole split, after the last draw. Center-crop draws nothing: it ignores the
-    seed, spawns no generators and crops the whole split in one assignment.
+    Gaussian and salt-pepper read the two streams of SeedSequence(seed).spawn(2)
+    row by row, PERTURB_BLOCK_ROWS items at a time, so item i's corruption
+    depends only on (seed, i) and no generator is built per item. Gaussian adds
+    sigma times the first stream's normals and clips; salt-pepper sets each
+    row's floor(level*pixels) lowest first-stream keys to 0 or 1 from the
+    second. Center-crop draws nothing: it ignores the seed and crops the whole
+    split in one assignment.
     """
     spec.validate(ds.width, ds.height)
     n_pixels = ds.width * ds.height
@@ -205,14 +209,19 @@ def perturb_dataset(ds: Dataset, spec: PerturbationSpec, seed: int) -> Dataset:
         images = images.reshape(len(ds), n_pixels)
     else:
         images = ds.images.copy()
-        n_corrupt = int(np.floor(spec.level * n_pixels))
-        for i, child in enumerate(np.random.SeedSequence(seed).spawn(len(ds))):
-            rng = np.random.Generator(np.random.PCG64(child))
+        first, second = map(np.random.default_rng, np.random.SeedSequence(seed).spawn(2))
+        k = int(np.floor(spec.level * n_pixels))
+        draws = np.empty((min(len(ds), PERTURB_BLOCK_ROWS), n_pixels))
+        for start in range(0, len(ds), PERTURB_BLOCK_ROWS):
+            block = images[start : start + PERTURB_BLOCK_ROWS]
+            drawn = draws[: len(block)]
             if spec.kind == "gaussian":
-                images[i] += rng.normal(scale=spec.level, size=n_pixels)
-            elif n_corrupt:
-                idx = rng.choice(n_pixels, size=n_corrupt, replace=False)
-                images[i, idx] = rng.integers(0, 2, size=n_corrupt)
-        if spec.kind == "gaussian":
-            np.clip(images, 0.0, 1.0, out=images)
+                first.standard_normal(out=drawn)
+                drawn *= spec.level
+                block += drawn
+                np.clip(block, 0.0, 1.0, out=block)
+            elif k:
+                first.random(out=drawn)
+                picked = np.argpartition(drawn, k - 1, axis=1)[:, :k]
+                np.put_along_axis(block, picked, second.integers(0, 2, size=picked.shape), axis=1)
     return Dataset(images, ds.labels.copy(), ds.width, ds.height, ds.num_classes)

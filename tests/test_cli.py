@@ -302,6 +302,24 @@ def test_robustness_non_finite_level_exits_2_naming_kind_and_level(trained, tmp_
     assert not (tmp_path / "robustness.csv").exists()
 
 
+def test_robustness_bad_level_exits_2_before_any_evaluation(trained, tmp_path, monkeypatch,
+                                                            capsys):
+    from mpsl import cli
+    from mpsl.trainer import evaluate
+
+    calls = []
+    monkeypatch.setattr(cli, "evaluate", lambda *a, **k: calls.append(1) or evaluate(*a, **k))
+    code = main([
+        "robustness", "--checkpoint", str(trained["checkpoint"]),
+        "--kinds", "gaussian,salt-pepper,center-crop", "--levels", "0.2",
+        "--out-dir", str(tmp_path),
+    ])
+    assert code == 2
+    assert "crop side must be an integer" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "robustness.csv").exists()
+
+
 def test_robustness_negative_zero_is_the_zero_level(trained, tmp_path):
     code = main([
         "robustness", "--checkpoint", str(trained["checkpoint"]),

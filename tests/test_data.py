@@ -1,11 +1,13 @@
 import gzip
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from mpsl import data
 from mpsl.data import (
     Dataset,
     IdxFormatError,
@@ -198,13 +200,76 @@ def test_perturb_dataset_bytes_are_pinned():
     rng = make_rng(21)
     ds = Dataset(rng.uniform(size=(64, 30)), rng.integers(0, 10, size=64), 6, 5, 10)
     pins = {
-        ("gaussian", 0.3): "d8cdaa3ff92e42a661969f94d8ad7b8f793e67b437be835e8c956c9159bad3bc",
-        ("salt-pepper", 0.15): "4b7e6e61b97f4f07f6fa27b953c9c499a49b2163bd3fa9d2a905068eb0839589",
+        ("gaussian", 0.3): "e8ee532b67d40c63f1058ed8769d6533694bc5c42bd771efaa6087fc7f1cfd5f",
+        ("salt-pepper", 0.15): "8bfbbeac16f98c69e439f5a6df046d83b5d833d6805920538ac2536c7321b97f",
         ("center-crop", 3): "229716850f357c58abd1bdc7517977ad69592e33e9464c2489bee31375839ff7",
     }
     for (kind, level), digest in pins.items():
         out = perturb_dataset(ds, PerturbationSpec(kind, level), seed=5)
         assert hashlib.sha256(out.images.tobytes()).hexdigest() == digest, kind
+
+
+NOISE_LEVELS = (("gaussian", 0.3), ("salt-pepper", 0.15))
+
+
+def three_block_split():
+    """300 28x28 items with pixels away from 0 and 1, so that every pixel
+    salt-pepper sets shows as changed."""
+    assert 2 * data.PERTURB_BLOCK_ROWS < 300 < 3 * data.PERTURB_BLOCK_ROWS
+    return flat_split(make_rng(31).uniform(0.05, 0.95, size=(300, 784)), 28, 28)
+
+
+def test_each_item_depends_only_on_the_seed_and_its_index():
+    """Perturbing the first n items gives the first n rows of perturbing the
+    whole split, inside the first block (37) and across its edge (200)."""
+    ds = three_block_split()
+    assert 37 < data.PERTURB_BLOCK_ROWS < 200
+    for kind, level in NOISE_LEVELS:
+        spec = PerturbationSpec(kind, level)
+        whole = perturb_dataset(ds, spec, seed=17).images
+        for n in (37, 200):
+            head = flat_split(ds.images[:n], 28, 28)
+            assert perturb_dataset(head, spec, seed=17).images.tobytes() == whole[:n].tobytes(), (
+                kind, n)
+
+
+def test_perturbed_bytes_do_not_depend_on_the_block_size(monkeypatch):
+    ds = three_block_split()
+    specs = [PerturbationSpec(kind, level) for kind, level in NOISE_LEVELS]
+    expected = [perturb_dataset(ds, spec, seed=17).images.tobytes() for spec in specs]
+    for rows in (1, 7, 300):
+        monkeypatch.setattr(data, "PERTURB_BLOCK_ROWS", rows)
+        assert [perturb_dataset(ds, spec, seed=17).images.tobytes() for spec in specs] == expected, (
+            rows)
+
+
+def test_salt_pepper_corrupts_exactly_k_pixels_in_every_row_of_every_block():
+    ds = three_block_split()
+    for level in (0.15, 1.0):
+        out = perturb_dataset(ds, PerturbationSpec("salt-pepper", level), seed=23).images
+        npt.assert_array_equal((out != ds.images).sum(axis=1), int(np.floor(level * 784)))
+        assert set(np.unique(out[out != ds.images])) <= {0.0, 1.0}
+
+
+def test_noise_keeps_every_pixel_in_the_unit_interval():
+    ds = three_block_split()
+    for kind, level in NOISE_LEVELS + (("gaussian", 2.0),):
+        out = perturb_dataset(ds, PerturbationSpec(kind, level), seed=29).images
+        assert out.min() >= 0.0 and out.max() <= 1.0, (kind, level)
+
+
+def test_perturb_dataset_peak_memory_is_bounded_by_its_output():
+    """One call on a test-split-sized input peaks at no more than 1.5x the
+    bytes it returns: the draws are held one block at a time."""
+    ds = flat_split(make_rng(37).uniform(size=(1024, 784)), 28, 28)
+    for kind in ("gaussian", "salt-pepper"):
+        tracemalloc.start()
+        try:
+            out = perturb_dataset(ds, PerturbationSpec(kind, 0.2), seed=41)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * out.images.nbytes, (kind, peak, out.images.nbytes)
 
 
 def test_center_crop_larger_than_image_is_fatal():
