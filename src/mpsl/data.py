@@ -11,6 +11,7 @@ from __future__ import annotations
 import gzip
 import math
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -77,53 +78,40 @@ class PerturbationSpec:
                 )
 
 
-def _open_maybe_gzip(path: Path):
-    for candidate in (path, path.with_name(path.name + ".gz")):
-        if candidate.exists():
-            if candidate.suffix == ".gz":
-                return gzip.open(candidate, "rb")
-            # unbuffered, so that read() returns the rest in one bytes object
-            # rather than joining it to what a buffer holds
-            return open(candidate, "rb", buffering=0)
-    raise IdxFormatError(f"IDX file not found: {path}")
-
-
-def _read_exact(f, n: int, path) -> bytes:
-    data = f.read(n)
-    if len(data) != n:
-        raise IdxFormatError(f"short read in {path}: wanted {n} bytes, got {len(data)}")
-    return data
-
-
-def _read_payload(f, n: int, path) -> np.ndarray:
-    """The n payload bytes that follow the header, as uint8. The file's own
-    bytes are read and counted, so a corrupt header's size is never used as
-    a read length."""
-    data = f.read()
-    if len(data) < n:
-        raise IdxFormatError(
-            f"short read in {path}: the header declares {n} bytes, the file holds {len(data)}")
-    return np.frombuffer(data, dtype=np.uint8, count=n)
+def _read_idx(path, magic: int, ndim: int) -> tuple[np.ndarray, list[int]]:
+    """The uint8 payload and the ndim dimensions of an IDX file, or of its
+    .gz sibling, read whole. The payload is checked against the bytes the
+    file holds, so a corrupt header's size is never used as a read length."""
+    path = Path(path)
+    found = [f for f in (path, path.with_name(path.name + ".gz")) if f.exists()]
+    if not found:
+        raise IdxFormatError(f"IDX file not found: {path}")
+    data = found[0].read_bytes()
+    if found[0].suffix == ".gz":
+        try:
+            data = gzip.decompress(data)
+        except (EOFError, gzip.BadGzipFile, zlib.error) as err:  # a corrupt stream
+            raise IdxFormatError(f"corrupt gzip file {found[0]}: {err}") from err
+    header = 4 * (ndim + 1)
+    if len(data) < header:
+        raise IdxFormatError(f"short read in {path}: wanted {header} bytes, got {len(data)}")
+    kind, *dims = struct.unpack_from(f">{ndim + 1}I", data)
+    if kind != magic:
+        raise IdxFormatError(f"{path} is not an IDX file (magic {kind:#010x}, not {magic:#010x})")
+    n = math.prod(dims)
+    if len(data) - header < n:
+        raise IdxFormatError(f"short read in {path}: the header declares {n} bytes, "
+                             f"the file holds {len(data) - header}")
+    return np.frombuffer(data, dtype=np.uint8, count=n, offset=header), dims
 
 
 def load_idx_images(path) -> tuple[np.ndarray, int, int]:
-    path = Path(path)
-    with _open_maybe_gzip(path) as f:
-        magic, count, rows, cols = struct.unpack(">IIII", _read_exact(f, 16, path))
-        if magic != IDX_IMAGE_MAGIC:
-            raise IdxFormatError(f"{path} is not an IDX file (image magic {magic:#010x})")
-        pixels = _read_payload(f, count * rows * cols, path).reshape(count, rows * cols)
-    return pixels / 255.0, rows, cols  # float64, in one pass
+    pixels, (count, rows, cols) = _read_idx(path, IDX_IMAGE_MAGIC, 3)
+    return pixels.reshape(count, rows * cols) / 255.0, rows, cols  # float64, in one pass
 
 
 def load_idx_labels(path) -> np.ndarray:
-    path = Path(path)
-    with _open_maybe_gzip(path) as f:
-        magic, count = struct.unpack(">II", _read_exact(f, 8, path))
-        if magic != IDX_LABEL_MAGIC:
-            raise IdxFormatError(f"{path} is not an IDX file (label magic {magic:#010x})")
-        labels = _read_payload(f, count, path)
-    return labels.astype(np.int64)
+    return _read_idx(path, IDX_LABEL_MAGIC, 1)[0].astype(np.int64)
 
 
 def load_idx(images_path, labels_path) -> Dataset:

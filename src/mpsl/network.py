@@ -30,10 +30,6 @@ class Network:
     sbp: SbpParams
 
     @property
-    def layer_sizes(self) -> list[int]:
-        return [self.layers[0].fan_in] + [layer.fan_out for layer in self.layers]
-
-    @property
     def num_classes(self) -> int:
         return self.layers[-1].fan_out
 

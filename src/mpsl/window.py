@@ -34,7 +34,10 @@ c a_0 + K[g, :] P and c b_0 + m * a_0 + K[g, :] Q. Per step, layer 1 makes
 four [n x fan_in] products (K, the step-1 drives) and two [units x n] by
 [n x fan_in] ones (its final W2/W3), and per group and step a [b x b] by
 [b x units] one each way. The layers above keep dense W2/W3 histories of
-G T + 1 matrices, so a per-item window holds n times a batched one's.
+G T + 1 matrices. A window stores each value once: the reverse rebuilds
+sigma(u) from u, dW2 from the W2 history, the Hebbian correlation
+post^T s_in / b (_correlation) and layer 1's e (_input_increment) with
+the forward's own expressions; the forward keeps dW2 and e for one step.
 
 Reproducibility contract: every value is one fixed numpy expression, and a
 gradient with several terms sums them in one fixed order, named where it is
@@ -64,16 +67,15 @@ def softmax_xent(scores: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndar
 
 class _Buffers:
     """One layer's arrays for one window: the forward values that the
-    reverse reads, indexed by timestep and then group, and the reverse's
-    scratch matrices. Layer 1 keeps drives and factors (module docstring)
-    where the layers above keep dense W2/W3 histories."""
+    reverse reads, each once, by timestep and then group, and the scratch
+    matrices of both directions. Layer 1 keeps drives and factors (module
+    docstring) where the layers above keep dense W2/W3 histories."""
 
     def __init__(self, groups: int, rows: int, t_steps: int, fan_in: int, fan_out: int,
                  input_layer: bool):
         units = (t_steps, groups, rows, fan_out)
         self.u = np.empty(units)
         self.s = np.empty(units)
-        self.sig = np.empty(units)
         self.post = np.empty(units)
         self.drive = np.empty((t_steps, 3, groups, rows, fan_out))  # x_in @ W_k.T per pathway
         # feedback modulation diag = lambda_f * lift, lift = 1 + lambda_p * share
@@ -87,7 +89,7 @@ class _Buffers:
         if input_layer:
             n = groups * rows
             self.gram = np.empty((n, n))  # K = x @ x.T
-            self.e = np.empty(units)  # x @ dW2_t.T, the increment the feedback rule scales
+            self.e = np.empty((rows, fan_out))  # forward: x_g @ dW2_t.T of one group and step
             self.p = np.empty((n, fan_out))  # factored W2/W3 (module docstring)
             self.q = np.empty((n, fan_out))
             self.m = np.empty(fan_out)
@@ -95,12 +97,10 @@ class _Buffers:
         # W2 / W3 entering step t of group g at g T + t; the last leaves the window
         self.w2 = np.empty((groups * t_steps + 1, *mat))
         self.w3 = np.empty((groups * t_steps + 1, *mat))
-        self.om = np.empty((t_steps, groups, *mat))  # batch-mean Hebbian correlation
-        self.dw2 = np.empty((t_steps, groups, *mat))  # W2_new - W2_old, for the feedback rule
+        self.dw2 = np.empty(mat)  # forward: W2_new - W2_old of one group and step
         self.g_w2 = np.empty((2, groups, *mat))  # reverse: W2/W3 leaving steps t and t-1
         self.g_w3 = np.empty((2, groups, *mat))
         self.g_dw2 = np.empty((groups, *mat))
-        self.g_om = np.empty((groups, *mat))
 
 
 class Window:
@@ -184,7 +184,6 @@ def record_forward(
         np.matmul(x, w.T, out=first.drive[0, k].reshape(n, -1))
     first.m.fill(0.0)
     scale = 1.0  # c, the share of W2_0/W3_0 in layer 1's W2/W3
-    hebb_scale = win.eta[0] / rows
     for g in range(groups):
         x_g = x[g * rows : (g + 1) * rows]
         if g:  # P and Q hold rows of the groups before g only
@@ -217,24 +216,17 @@ def record_forward(
 
                 if events is not None:
                     events.append(("hebbian", t + 1, l + 1))
-                b.sig[t, g] = 1.0 / (1.0 + np.exp(-u))
-                np.add(b.sig[t, g], win.beta[l], out=b.post[t, g])
+                np.add(1.0 / (1.0 + np.exp(-u)), win.beta[l], out=b.post[t, g])
                 if l == 0:
-                    # q = x_g @ (eta * mean_b post_b x_b).T = (eta / b) K_gg @ post
-                    q = np.matmul(win.gram_blocks[g], b.post[t, g], out=b.e[t, g])
-                    q *= hebb_scale
-                    if t + 1 < t_steps:
-                        a_next = np.multiply(d[1], decay, out=b.drive[t + 1, 1, g])
-                        a_next += q
-                    q += (decay - 1.0) * d[1]  # e = (d - 1) a + q
+                    a_next = b.drive[t + 1, 1, g] if t + 1 < t_steps else None
+                    _input_increment(win, win.gram_blocks[g], b.post[t, g], d[1], b.e, a_next)
                 else:
-                    om = np.matmul(b.post[t, g].T, s_in, out=b.om[t, g])
-                    om /= rows
-                    inc = np.multiply(om, win.eta[l], out=b.tmp[g])
+                    om = _correlation(b.post[t, g], s_in, out=b.tmp[g])
+                    inc = np.multiply(om, win.eta[l], out=om)
                     w2_old, w2_new = b.w2[i], b.w2[i + 1]
                     np.multiply(w2_old, decay, out=w2_new)
                     w2_new += inc
-                    np.subtract(w2_new, w2_old, out=b.dw2[t, g])
+                    np.subtract(w2_new, w2_old, out=b.dw2)
                 s_in = b.s[t, g]
 
             for l in reversed(range(n_layers)):
@@ -242,7 +234,7 @@ def record_forward(
                     events.append(("sbp", t + 1, l + 1))
                 b = bufs[l]
                 if l + 1 < n_layers:
-                    col = bufs[l + 1].dw2[t, g].sum(axis=0)
+                    col = bufs[l + 1].dw2.sum(axis=0)
                     b.share[t, g], degenerate = normalize_simplex(col)
                     b.total[t, g] = np.inf if degenerate else col.sum()
                     b.lift[t, g] = 1.0 + lp * b.share[t, g]
@@ -253,9 +245,9 @@ def record_forward(
                 if l == 0:
                     if t + 1 < t_steps:
                         b_next = np.multiply(b.drive[t, 2, g], decay, out=b.drive[t + 1, 2, g])
-                        b_next += b.e[t, g] * b.diag[t, g]
+                        b_next += b.e * b.diag[t, g]
                 else:
-                    feedback = np.multiply(b.diag[t, g][:, None], b.dw2[t, g], out=b.tmp[g])
+                    feedback = np.multiply(b.diag[t, g][:, None], b.dw2, out=b.tmp[g])
                     w3_new = np.multiply(b.w3[i], decay, out=b.w3[i + 1])
                     w3_new += feedback
         scale = _carry_input_layer(win, first, g, scale)
@@ -302,6 +294,25 @@ def _carry_input_layer(win: Window, b: _Buffers, g: int, scale: float) -> float:
     p *= d_t
     np.multiply(hebb_scale, s_sum, out=b.p[g * rows : (g + 1) * rows])
     return scale * d_t
+
+
+def _correlation(post: np.ndarray, s_in: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The batch-mean Hebbian correlation post^T s_in / b, per group."""
+    om = np.matmul(post.swapaxes(-1, -2), s_in, out=out)
+    om /= post.shape[-2]
+    return om
+
+
+def _input_increment(win: Window, gram, post, a, out=None, a_next=None) -> np.ndarray:
+    """Layer 1's feedback increment e_t, per group, from K_gg, post_t and
+    a_t (module docstring); a_next, if given, receives a_t+1."""
+    q = np.matmul(gram, post, out=out)
+    q *= win.eta[0] / win.rows
+    if a_next is not None:
+        np.multiply(a, win.decay, out=a_next)
+        a_next += q
+    q += (win.decay - 1.0) * a
+    return q
 
 
 def _plus(total, term):
@@ -360,17 +371,19 @@ def backward(win: Window, *,
             # feedback steps, layers 1..L: W3(t+1) = d W3(t) + diag * dW2(t)
             for l, b in enumerate(bufs):
                 if l == 0:  # in drive form: b(t+1) = d b(t) + e(t) * diag
-                    g_fb, inc = g_b, b.e[t]
+                    g_fb = g_b
+                    inc = _input_increment(win, win.gram_blocks, b.post[t], b.drive[t, 1])
                     g_e = g_b * b.diag[t][:, None]
                 else:
-                    g_fb, inc = b.g_w3[cur], b.dw2[t]
+                    g_fb = b.g_w3[cur]
+                    inc = np.subtract(b.w2[t + 1 :: t_steps], b.w2[t : -1 : t_steps], out=b.tmp)
                     gd = np.multiply(g_fb, b.diag[t][:, :, None], out=b.g_dw2)
                     if g_col[l] is not None:
                         gd += g_col[l][:, None]
                     g_dw2[l] = gd
                     if t > 0:
                         np.multiply(g_fb, decay, out=b.g_w3[prev])
-                g_mod = np.multiply(g_fb, inc, out=b.tmp if l else None)
+                g_mod = np.multiply(g_fb, inc, out=inc)
                 if l + 1 < n_layers:
                     g_diag = g_mod.sum(axis=2 if l else 1)  # per group and unit
                     g_lf = g_lf + per_group(g_diag * b.lift[t])
@@ -411,13 +424,14 @@ def backward(win: Window, *,
                 if t > 0:
                     part = np.multiply(g_inc, decay, out=b.g_w2[prev])
                     part -= g_dw2[l]
-                g_eta[l] = g_eta[l] + per_group(np.multiply(g_inc, b.om[t], out=b.tmp))
-                g_om = np.multiply(g_inc, win.eta[l], out=b.g_om)
+                om = _correlation(b.post[t], x_in, out=b.tmp)
+                g_eta[l] = g_eta[l] + per_group(np.multiply(g_inc, om, out=om))
+                g_om = np.multiply(g_inc, win.eta[l], out=om)
                 g_post = inv_b * (x_in @ g_om.swapaxes(1, 2))
                 g_below = _plus(g_below, inv_b * (b.post[t] @ g_om))
             if plastic:
                 g_beta[l] = g_beta[l] + per_group(g_post)
-                v = b.sig[t]
+                v = 1.0 / (1.0 + np.exp(-b.u[t]))
                 g_u = _plus(g_u, g_post * v * (1.0 - v))
             rect = (np.abs(b.u[t] - v_th) < a / 2.0) / a
             g_u = _plus(g_u, g_s * rect)

@@ -1,5 +1,6 @@
 import gzip
 import hashlib
+import json
 import struct
 import tracemalloc
 
@@ -8,6 +9,7 @@ import numpy.testing as npt
 import pytest
 
 from mpsl import data
+from mpsl.cli import main
 from mpsl.data import (
     Dataset,
     IdxFormatError,
@@ -101,6 +103,23 @@ def test_load_idx_transparent_gzip(tmp_path):
     img.unlink()
     ds = load_idx(img, lab)  # falls back to the .gz sibling
     assert len(ds) == 4
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda gz, raw: gz[: len(gz) // 2],
+    lambda gz, raw: raw,
+    lambda gz, raw: gz[:10] + bytes(b ^ 0x55 for b in gz[10:-8]) + gz[-8:],
+], ids=["truncated", "not-gzip", "corrupt-deflate"])
+def test_corrupt_gz_idx_file_exits_2_naming_the_file(tmp_path, capsys, corrupt):
+    pixels = make_rng(4).integers(0, 256, size=(20, 28, 28)).astype(np.uint8)
+    raw = struct.pack(">IIII", 0x803, 20, 28, 28) + pixels.tobytes()
+    gz = tmp_path / "train-images-idx3-ubyte.gz"
+    gz.write_bytes(corrupt(gzip.compress(raw), raw))
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"dataset": "mnist", "data_dir": str(tmp_path),
+                                  "layer_sizes": [784, 16, 10]}))
+    assert main(["train", "--config", str(config)]) == 2
+    assert str(gz) in capsys.readouterr().err
 
 
 def test_blobs_two_class_means_and_separability():

@@ -6,6 +6,7 @@ import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
+import pytest
 
 from mpsl.gradcheck import group_error
 from mpsl.network import init_network
@@ -178,3 +179,26 @@ def test_desk_window_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak < 30e6, peak
+
+
+@pytest.mark.parametrize("sizes, items, per_item, bound_mib", [
+    ([784, 256, 10], 100, False, 16),  # the desk shape, batched
+    ([32, 64, 64, 4], 20, True, 20),  # per item, two dense W2/W3 histories
+], ids=["desk", "per-item"])
+def test_window_holds_each_value_once(sizes, items, per_item, bound_mib):
+    # what a window holds between its forward and its reverse: 15.7 and
+    # 17.0 MiB, since what the reverse rebuilds (sigma(u), the Hebbian
+    # correlations, dW2 and layer 1's e) is not stored; storing it as well
+    # takes 19.0 and 27.8 MiB
+    rng = make_rng(8)
+    net = init_network(sizes, seed=1, lif=LifConfig(), sbp=SbpParams())
+    x = (rng.uniform(size=(items, sizes[0])) < 0.2) * rng.uniform(size=(items, sizes[0]))
+    labels = rng.integers(sizes[-1], size=items)
+    tracemalloc.start()
+    try:
+        window, _ = record_forward(net, x, labels, t_steps=8, per_item=per_item)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert math.isfinite(window.loss_value)  # the window is alive here
+    assert held <= bound_mib * 2**20, held / 2**20
