@@ -34,9 +34,12 @@ class GradcheckResult:
 
 def group_error(a: np.ndarray, b: np.ndarray) -> float:
     """Max relative disagreement; entries tiny on both sides must agree
-    within ZERO_FLOOR absolutely and then count as zero error."""
+    within ZERO_FLOOR absolutely and then count as zero error. A NaN or inf
+    on either side is an infinite error."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        return float("inf")
     scale = np.maximum(np.abs(a), np.abs(b))
     diff = np.abs(a - b)
     live = scale > ZERO_FLOOR

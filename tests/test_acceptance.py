@@ -160,9 +160,11 @@ def _max_error(net, layers):
     return math.inf if np.isnan(diffs).any() else float(diffs.max())
 
 
-def test_criterion_1_plasticity_oracle_equality():
+def plasticity_oracle_trials():
+    """Runs criterion 1's 150 random train_epoch windows. Returns the worst
+    |window - oracle| W2/W3 error, the same against the oracle that hands
+    the feedback rule the bare Hebbian increment, and the cases covered."""
     rng = make_rng(101)
-    t0 = time.perf_counter()
     worst = flipped_worst = 0.0
     coverage = Counter()
     for trial in range(150):
@@ -208,6 +210,12 @@ def test_criterion_1_plasticity_oracle_equality():
         coverage["sequential"] += sequential
         coverage["sequential over >= 3 items, non-zero input"] += (
             sequential and batch >= 3 and bool(x.any()))
+    return worst, flipped_worst, coverage
+
+
+def test_criterion_1_plasticity_oracle_equality():
+    t0 = time.perf_counter()
+    worst, flipped_worst, coverage = plasticity_oracle_trials()
     seconds = time.perf_counter() - t0
     assert worst <= 1e-12
     assert flipped_worst > 1e-12, "oracle with the bare increment still agrees"

@@ -1,8 +1,9 @@
-"""Negative controls of the gradcheck, run on every commit. Each test builds
-a copy of mpsl.window with one fault put in by an exact source
-substitution, routes the training step through the copy, and asserts that
-the default gradcheck trials (`mpsl gradcheck`: 50 trials from seed
-20240501) catch the fault at three trial seeds or more.
+"""Negative controls of the gradcheck and of criterion 1's plasticity-oracle
+check, run on every commit. Each test builds a copy of mpsl.window with one
+fault put in by an exact source substitution and routes the training step
+through the copy. A window mutation must fail the default gradcheck trials
+(`mpsl gradcheck`: 50 trials from seed 20240501) at three trial seeds or
+more; a plasticity mutation must put criterion 1's worst error above 1e-12.
 
 A substitution whose pattern no longer occurs exactly once fails the test,
 so a refactor that moves the code it names must update it here."""
@@ -12,11 +13,14 @@ import types
 
 import pytest
 
+from test_acceptance import plasticity_oracle_trials
+
 from mpsl import trainer, window
 from mpsl.gradcheck import run_gradcheck
 
 DEFAULT_SEED, DEFAULT_TRIALS = 20240501, 50
 CAUGHT_AT = 3  # failing trial seeds that count as caught
+ORACLE_TOL = 1e-12  # criterion 1's bound on |window - oracle|
 
 MUTATIONS = [  # pattern, replacement
     # layer 1's factored W2/W3 carried across the groups of a per-item step
@@ -76,3 +80,24 @@ def test_an_unmutated_copy_passes(monkeypatch):
     # failing seed that the walks above stop at, it passes
     route_through(monkeypatch, mutant_window("def backward(", "def backward("))
     assert run_gradcheck(10, DEFAULT_SEED).passed
+
+
+PLASTICITY_MUTATIONS = [  # pattern, replacement
+    pytest.param("hebb_scale = win.eta[0] / rows", "hebb_scale = win.eta[0] / (rows + 1)",
+                 id="hebbian-step-one-row-too-many"),
+    pytest.param("np.multiply(w2_old, decay, out=w2_new)", "np.copyto(w2_new, w2_old)",
+                 id="w2-drops-decay"),
+]
+
+
+@pytest.mark.parametrize("pattern, replacement", PLASTICITY_MUTATIONS)
+def test_plasticity_oracle_catches_the_window_mutation(monkeypatch, pattern, replacement):
+    route_through(monkeypatch, mutant_window(pattern, replacement))
+    worst, _flipped, _coverage = plasticity_oracle_trials()
+    assert worst > ORACLE_TOL
+
+
+def test_an_unmutated_copy_matches_the_plasticity_oracle(monkeypatch):
+    route_through(monkeypatch, mutant_window("def backward(", "def backward("))
+    worst, _flipped, _coverage = plasticity_oracle_trials()
+    assert worst <= ORACLE_TOL

@@ -12,6 +12,7 @@ from mpsl.network import forward_inference, init_network
 from mpsl.neuron import LifConfig, fused_input, membrane_step, spike
 from mpsl.numerics import make_rng
 from mpsl.plasticity import SbpParams, merge_weights
+from mpsl import network as network_module
 from mpsl import trainer as trainer_module
 from mpsl.window import backward, record_forward
 from mpsl.trainer import (
@@ -435,16 +436,23 @@ def recomputed_inference(net, x, t_steps, merged):
     return counts, u[-2] if len(net.layers) >= 2 else u[-1]
 
 
-def test_inference_is_byte_identical_to_per_step_recomputation():
-    rng = make_rng(78)
-    spikes = 0
-    for trial in range(60):
+def random_inference_nets(rng, trials=60):
+    """(trial, sizes, net) of depth 2-4 and widths 2-8, whose local
+    pathways are large enough to make the layers above layer 1 fire."""
+    for trial in range(trials):
         sizes = [int(n) for n in rng.integers(2, 9, size=int(rng.integers(2, 5)))]
         net = init_network(sizes, seed=trial, lif=LifConfig(), sbp=SbpParams())
         for layer in net.layers:
             layer.w2 = rng.normal(scale=0.4, size=layer.w2.shape)
             layer.w3 = rng.normal(scale=0.4, size=layer.w3.shape)
             layer.lam = rng.uniform(0.1, 0.6, size=3)
+        yield trial, sizes, net
+
+
+def test_inference_is_byte_identical_to_per_step_recomputation():
+    rng = make_rng(78)
+    spikes = 0
+    for trial, sizes, net in random_inference_nets(rng):
         batch, t_steps = int(rng.integers(1, 5)), int(rng.integers(1, 6))
         x = np.zeros((batch, sizes[0])) if trial % 10 == 0 else rng.uniform(size=(batch, sizes[0]))
         for merged in (True, False):
@@ -454,6 +462,51 @@ def test_inference_is_byte_identical_to_per_step_recomputation():
             assert u_pen.tobytes() == want_u.tobytes(), (trial, merged)
             spikes += int(counts.sum())
     assert spikes > 0
+
+
+def test_blocked_inference_is_byte_identical_to_whole_batch_recomputation():
+    # 300 and 700 rows run as 2 and 5 blocks; the recomputation forms every
+    # product over all rows at once
+    rng = make_rng(79)
+    spikes = 0
+    for trial, sizes, net in random_inference_nets(rng):
+        t_steps = int(rng.integers(1, 6))
+        for rows in (300, 700):
+            x = rng.uniform(size=(rows, sizes[0]))
+            for merged in (True, False):
+                counts, u_pen = forward_inference(net, x, t_steps, merged)
+                want_counts, want_u = recomputed_inference(net, x, t_steps, merged)
+                assert counts.tobytes() == want_counts.tobytes(), (trial, rows, merged)
+                assert u_pen.tobytes() == want_u.tobytes(), (trial, rows, merged)
+                spikes += int(counts.sum())
+    assert spikes > 0
+
+
+@pytest.mark.parametrize("n", [1, 127, 128, 255, 256, 1000])
+def test_inference_steps_the_lif_loop_in_row_blocks(monkeypatch, n):
+    # each membrane_step sees all n rows below 128 and a block of 128-255
+    # rows otherwise; per layer and step the blocks cover every row once
+    rows_seen = {}
+
+    def spy(u_prev, s_prev, i_in, cfg, out=None):
+        rows_seen.setdefault(u_prev.shape[1], []).append(u_prev.shape[0])
+        return membrane_step(u_prev, s_prev, i_in, cfg, out=out)
+
+    monkeypatch.setattr(network_module, "membrane_step", spy)
+    net = init_network([6, 5, 4], seed=1, lif=LifConfig(), sbp=SbpParams())
+    t_steps = 3
+    forward_inference(net, make_rng(n).uniform(size=(n, 6)), t_steps, merged=True)
+    assert sorted(rows_seen) == [4, 5]
+    for rows in rows_seen.values():
+        assert all(r == n for r in rows) if n < 128 else all(128 <= r <= 255 for r in rows)
+        assert sum(rows) == n * t_steps
+
+
+def test_inference_of_an_empty_input():
+    net = init_network([6, 5, 4], seed=1, lif=LifConfig(), sbp=SbpParams())
+    for merged in (True, False):
+        counts, u_pen = forward_inference(net, np.zeros((0, 6)), 3, merged)
+        assert counts.shape == (0, 4) and u_pen.shape == (0, 5)
 
 
 def test_untrained_network_sits_at_chance_level():

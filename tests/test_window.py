@@ -140,6 +140,15 @@ def test_group_error_handles_zero_pairs():
     assert group_error(np.array([1.0]), np.array([1.0 + 1e-7])) < 1.1e-7
 
 
+def test_group_error_fails_a_non_finite_gradient():
+    finite = np.array([0.5, 1.0])
+    for bad in (np.nan, np.inf, -np.inf):
+        off = np.array([bad, 1.0])
+        assert group_error(off, finite) == np.inf, bad
+        assert group_error(finite, off) == np.inf, bad
+    assert group_error(np.array([np.nan]), np.array([np.nan])) == np.inf
+
+
 def test_windows_alive_together_keep_their_own_state():
     # each window owns its arrays: windows recorded before either is
     # reversed reverse as each one alone, and no returned array changes when
