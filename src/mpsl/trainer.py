@@ -357,12 +357,10 @@ def step_gradients(
     classes]. The W2/W3 leaving it are handed to the network.
     surrogate_width_scale is passed to backward."""
     window, counts = record_forward(net, x, labels, t_steps, per_item=per_item, events=events)
-    group_grads, g_w1 = backward(window, surrogate_width_scale=surrogate_width_scale)
+    group_grads, w1_grads = backward(window, surrogate_width_scale=surrogate_width_scale)
     for layer, w2, w3 in zip(net.layers, window.final_w2, window.final_w3):
         layer.w2, layer.w3 = w2, w3
-    grads = _mean_gradient_dicts(group_grads)
-    grads["layers.0.w1"] = g_w1
-    return window.loss_value, grads, counts
+    return window.loss_value, {**_mean_gradient_dicts(group_grads), **w1_grads}, counts
 
 
 def train_epoch(
@@ -445,10 +443,7 @@ def network_from_config(cfg: TrainConfig) -> Network:
     if cfg.lambda_mode == "frozen-learned":
         source = load_checkpoint(cfg.frozen_source)
         for idx, layer in enumerate(net.layers):
-            key = f"layers.{idx}.lam"
-            if key not in source.entries:
-                raise ConfigError(f"frozen_source checkpoint lacks entry {key}")
-            layer.lam = source.entries[key].copy()
+            layer.lam = _entry(source, f"layers.{idx}.lam", (3,)).copy()
     return net
 
 

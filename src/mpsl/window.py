@@ -12,10 +12,9 @@ entering a group are constants to the gradient (the local learnables reach
 the loss only through updates made inside it), so backward runs the groups'
 independent reverses at once over [G x b x units] arrays. It substitutes
 the rectangular surrogate for the spike derivative and returns each group's
-gradients for the fusion coefficients, eta/beta, the fraction factors and
-the W1 of layers 2..L, keyed like Network.named_parameters(), and layer 1's
-W1 gradient averaged over the groups, formed once from its factor
-F = lam_1 sum_t g_u(t) [n x units] as F^T x / G.
+gradients for the fusion coefficients, eta/beta and the fraction factors,
+keyed like Network.named_parameters(), and every layer's W1 gradient
+averaged over the groups: a sum over all n rows divided once by G.
 
 Layer 1 runs through the step's Gram matrix K = x x^T (the fast-weights
 identity; Ba et al. 2016, arXiv:1610.06258; Schlag, Irie & Schmidhuber
@@ -108,9 +107,8 @@ class Window:
 
     loss_value and final_w2/final_w3 (per layer) are the forward's results,
     in arrays of their own. u and s hold each layer's membrane potentials
-    and spikes as [T x n x units] arrays. W1 and layer 1's W2/W3 entering
-    the window are held by reference: reverse the window before changing
-    them in place.
+    and spikes as [T x n x units] arrays. W1 is held by reference: reverse
+    the window before changing it in place.
     """
 
     def __init__(self, net: Network, x: np.ndarray, labels: np.ndarray, groups: int,
@@ -125,8 +123,6 @@ class Window:
         self.eta = [float(layer.eta) for layer in layers]
         self.beta = [float(layer.beta) for layer in layers]
         self.lambda_f, self.lambda_p = float(net.lambda_f), float(net.lambda_p)
-        self.w2 = [layers[0].w2, *(b.w2 for b in bufs[1:])]  # layer 1's entering; histories
-        self.w3 = [layers[0].w3, *(b.w3 for b in bufs[1:])]
         for layer, b in zip(layers[1:], bufs[1:]):
             b.w2[0], b.w3[0] = layer.w2, layer.w3
         rows = self.rows = len(x) // groups
@@ -180,7 +176,8 @@ def record_forward(
     n_layers = len(bufs)
     # x is the same at every step: layer 1's W1 drive is reused, and its
     # W2/W3 drives follow the recurrences from these
-    for k, w in enumerate((win.w1[0], win.w2[0], win.w3[0])):
+    w2_0, w3_0 = net.layers[0].w2, net.layers[0].w3
+    for k, w in enumerate((win.w1[0], w2_0, w3_0)):
         np.matmul(x, w.T, out=first.drive[0, k].reshape(n, -1))
     first.m.fill(0.0)
     scale = 1.0  # c, the share of W2_0/W3_0 in layer 1's W2/W3
@@ -253,11 +250,11 @@ def record_forward(
         scale = _carry_input_layer(win, first, g, scale)
 
     # layer 1's W2/W3 leaving the last group, formed once from its factors
-    w2 = np.multiply(win.w2[0], scale)
+    w2 = np.multiply(w2_0, scale)
     w2 += np.matmul(first.p.T, x, out=first.tmp)
-    w3 = np.multiply(win.w3[0], scale)
+    w3 = np.multiply(w3_0, scale)
     w3 += np.matmul(first.q.T, x, out=first.tmp)
-    w3 += np.multiply(win.w2[0], first.m[:, None], out=first.tmp)
+    w3 += np.multiply(w2_0, first.m[:, None], out=first.tmp)
     counts = bufs[-1].s.sum(axis=0).reshape(n, -1)
     win.final_w2 = [w2] + [b.w2[-1].copy() for b in bufs[1:]]
     win.final_w3 = [w3] + [b.w3[-1].copy() for b in bufs[1:]]
@@ -319,14 +316,15 @@ def _plus(total, term):
     return term if total is None else total + term
 
 
-def backward(win: Window, *,
-             surrogate_width_scale: float = 1.0) -> tuple[list[dict[str, np.ndarray]], np.ndarray]:
-    """Each group's loss gradients of every learnable parameter, one dict
-    per group keyed like Network.named_parameters(), and layer 1's W1
-    gradient averaged over the groups: the dicts have no layers.0.w1, which
-    is formed once as F^T x / G from its factor F [n x units]. A group's
-    gradients are of its own mean loss; a parameter the loss does not reach
-    gets zeros. The window is left as it was, so it can be reversed again.
+def backward(win: Window, *, surrogate_width_scale: float = 1.0
+             ) -> tuple[list[dict[str, np.ndarray]], dict[str, np.ndarray]]:
+    """Each group's loss gradients of lam, eta, beta, lambda_f and
+    lambda_p, one dict per group, and every layer's W1 gradient averaged
+    over the groups, one dict; both keyed like Network.named_parameters().
+    A group's gradients are of its own mean loss, so a W1 gradient is
+    summed over all n rows and divided once by G. A parameter the loss does
+    not reach gets zeros. The window is left as it was, so it can be
+    reversed again.
 
     surrogate_width_scale is a fault-injection hook for the gradcheck
     negative control; production callers leave it at 1.
@@ -450,15 +448,12 @@ def backward(win: Window, *,
             for k in (2, 1, 0):
                 g_lam[l][k] = g_lam[l][k] + per_group(g_u * b.drive[t, k])
                 g_d = win.lam[l][k] * g_u
-                g_d_t = g_d.swapaxes(1, 2)
-                if k == 0:
-                    if g_w1[l] is None:
-                        g_w1[l] = g_d_t @ x_in
-                    else:
-                        g_w1[l] += np.matmul(g_d_t, x_in, out=b.tmp)
+                if k == 0:  # one product over the rows of every group
+                    g_w1[l] = _plus(g_w1[l], g_d.reshape(n, -1).T @ x_in.reshape(n, -1))
                 elif t > 0:
                     # the carried W3 term, or the W2 terms above, come first
                     g_w = (b.g_w3 if k == 2 else b.g_w2)[prev]
+                    g_d_t = g_d.swapaxes(1, 2)
                     if plastic:
                         g_w += np.matmul(g_d_t, x_in, out=b.tmp)
                     else:
@@ -470,16 +465,14 @@ def backward(win: Window, *,
         cur = prev
 
     g_lam[0][0] = per_group(g_c * first.drive[0, 0])
+    g_w1[0] = (win.lam[0][0] * g_c).reshape(n, -1).T @ x
 
     grads: dict[str, np.ndarray] = {}
     for l in range(n_layers):
-        if l:
-            grads[f"layers.{l}.w1"] = g_w1[l]
         grads[f"layers.{l}.lam"] = np.stack(g_lam[l], axis=1)
         grads[f"layers.{l}.eta"] = g_eta[l]
         grads[f"layers.{l}.beta"] = g_beta[l]
     grads["lambda_f"] = g_lf
     grads["lambda_p"] = g_lp
-    g_w1_in = (win.lam[0][0] * g_c).reshape(n, -1).T @ x
-    g_w1_in /= groups
-    return [{name: g[i] for name, g in grads.items()} for i in range(groups)], g_w1_in
+    w1_grads = {f"layers.{l}.w1": g / groups for l, g in enumerate(g_w1)}
+    return [{name: g[i] for name, g in grads.items()} for i in range(groups)], w1_grads

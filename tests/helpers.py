@@ -30,8 +30,8 @@ def random_trial_net(seed: int):
 
 def window_gradients(window):
     """A one-group window's gradients, keyed like Network.named_parameters()."""
-    (grads,), g_w1 = backward(window)
-    return {"layers.0.w1": g_w1, **grads}
+    (grads,), w1_grads = backward(window)
+    return {**grads, **w1_grads}
 
 
 def canonical_batch_events(t_steps: int, n_layers: int, groups: int) -> list[tuple]:

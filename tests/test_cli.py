@@ -395,6 +395,23 @@ def test_ablate_emits_complete_curves(tmp_path, capsys):
     assert {r["variant"] for r in rows} == {"fixed", "learnable", "frozen-learned"}
 
 
+def test_frozen_source_lambda_of_the_wrong_shape_exits_2(tmp_path, capsys):
+    from mpsl.numerics import make_rng
+    from mpsl.trainer import TrainConfig, checkpoint_entries, network_from_config
+
+    base = write_config(tmp_path)
+    cfg = TrainConfig.from_dict(json.loads(base.read_text()))
+    entries = checkpoint_entries(network_from_config(cfg), None)
+    entries["layers.0.lam"] = np.full(2, 0.5)
+    source = tmp_path / "short-lambda.ckpt"
+    save_checkpoint(source, cfg.canonical_json(), 0, make_rng(0).bit_generator.state, entries)
+    config = write_config(tmp_path, lambda_mode="frozen-learned", frozen_source=str(source))
+    code = main(["train", "--config", str(config), "--out-dir", str(tmp_path / "x")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "'layers.0.lam' has shape (2,), expected (3,)" in err
+
+
 def test_numeric_abort_exits_3(tmp_path, capsys):
     # frozen-learned from a checkpoint whose lambda entries are poisoned
     from mpsl.checkpoint import save_checkpoint

@@ -41,6 +41,8 @@ MUTATIONS = [  # pattern, replacement
     pytest.param("om /= post.shape[-2]", "pass", id="correlation-drops-rows"),
     pytest.param("q += (win.decay - 1.0) * a", "pass", id="e-drops-decay-term"),
     pytest.param("np.exp(-b.u[t])", "np.exp(-b.u[t - 1])", id="sigma-from-previous-step"),
+    # every layer's W1 gradient is the mean over the step's groups
+    pytest.param('"layers.{l}.w1": g / groups', '"layers.{l}.w1": g', id="w1-drops-group-mean"),
 ]
 
 

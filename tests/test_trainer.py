@@ -310,8 +310,8 @@ def test_per_item_w1_gradient_is_the_mean_of_per_item_products():
     item_losses, item_grads = [], []
     for i in range(10):
         window, _ = record_forward(item_net, x[i], labels[i], 8)
-        (one,), g_w1 = backward(window)
-        item_grads.append({"layers.0.w1": g_w1, **one})
+        (one,), w1_grads = backward(window)
+        item_grads.append({**one, **w1_grads})
         item_losses.append(window.loss_value)
         for layer, w2, w3 in zip(item_net.layers, window.final_w2, window.final_w3):
             layer.w2, layer.w3 = w2, w3
