@@ -13,13 +13,17 @@ Layout (integers little-endian):
                 float64 x prod(dims) payload
 
 Float payloads are raw IEEE-754 bytes, so a save/load round trip is
-bit-exact. atomic_write is the one file write of every command's outputs.
+bit-exact. load_checkpoint reads the open file field by field, each payload
+straight into its own array (its one copy), and checks every length against
+the bytes left before it reads or allocates. atomic_write is the one file
+write of every command's outputs.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import struct
 import tempfile
@@ -94,53 +98,52 @@ def save_checkpoint(path, config_json: str, epoch: int, rng_state: dict,
 
 
 class _Reader:
-    def __init__(self, data: bytes, path):
-        self.data = data
-        self.pos = 0
-        self.path = path
+    def __init__(self, f, path):
+        self.f, self.path = f, path
+        self.left = os.fstat(f.fileno()).st_size
+
+    def claim(self, n: int) -> int:
+        if n > self.left:
+            raise CheckpointError(f"{self.path}: truncated checkpoint")
+        self.left -= n
+        return n
 
     def take(self, n: int) -> bytes:
-        if self.pos + n > len(self.data):
-            raise CheckpointError(f"{self.path}: truncated checkpoint")
-        out = self.data[self.pos : self.pos + n]
-        self.pos += n
-        return out
+        return self.f.read(self.claim(n))
 
     def u32(self) -> int:
         return struct.unpack("<I", self.take(4))[0]
 
-    def u64(self) -> int:
-        return struct.unpack("<Q", self.take(8))[0]
+    def floats(self, dims: tuple) -> np.ndarray:
+        self.claim(8 * math.prod(dims))  # before np.empty allocates
+        out = np.empty(dims, dtype="<f8")
+        if self.f.readinto(out) != out.nbytes:  # the file shrank since it was opened
+            raise CheckpointError(f"{self.path}: truncated checkpoint")
+        return out
 
 
 def load_checkpoint(path) -> Checkpoint:
     path = Path(path)
     if not path.exists():
         raise CheckpointError(f"checkpoint not found: {path}")
-    r = _Reader(path.read_bytes(), path)
-    if r.take(4) != MAGIC:
-        raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
-    version = r.u32()
-    if version != FORMAT_VERSION:
-        raise CheckpointError(f"{path}: unsupported format version {version}")
-    config_json = r.take(r.u32()).decode("utf-8")
-    if r.take(32) != config_hash_bytes(config_json):
-        raise CheckpointError(f"{path}: config hash mismatch")
-    epoch = r.u32()
-    rng_state = json.loads(r.take(r.u32()).decode("utf-8"))
-    entries: dict[str, np.ndarray] = {}
-    for _ in range(r.u32()):
-        name = r.take(r.u32()).decode("utf-8")
-        ndim = r.u32()
-        dims = tuple(r.u64() for _ in range(ndim))
-        count = 1
-        for dim in dims:
-            count *= dim
-        payload = np.frombuffer(r.take(count * 8), dtype="<f8")
-        entries[name] = payload.astype(np.float64).reshape(dims)  # astype copies
-    return Checkpoint(
-        config_json=config_json,
-        epoch=epoch,
-        rng_state=rng_state,
-        entries=entries,
-    )
+    try:
+        with open(path, "rb") as f:
+            r = _Reader(f, path)
+            if r.take(4) != MAGIC:
+                raise CheckpointError(f"{path}: bad magic, not a checkpoint file")
+            version = r.u32()
+            if version != FORMAT_VERSION:
+                raise CheckpointError(f"{path}: unsupported format version {version}")
+            config_json = r.take(r.u32()).decode("utf-8")
+            if r.take(32) != config_hash_bytes(config_json):
+                raise CheckpointError(f"{path}: config hash mismatch")
+            epoch = r.u32()
+            rng_state = json.loads(r.take(r.u32()).decode("utf-8"))
+            entries: dict[str, np.ndarray] = {}
+            for _ in range(r.u32()):
+                name = r.take(r.u32()).decode("utf-8")
+                ndim = r.u32()
+                entries[name] = r.floats(struct.unpack(f"<{ndim}Q", r.take(8 * ndim)))
+    except OSError as err:  # a directory, or a failing read
+        raise CheckpointError(f"{path}: cannot read checkpoint: {err.strerror}") from err
+    return Checkpoint(config_json, epoch, rng_state, entries)

@@ -86,12 +86,14 @@ def _read_idx(path, magic: int, ndim: int) -> tuple[np.ndarray, list[int]]:
     found = [f for f in (path, path.with_name(path.name + ".gz")) if f.exists()]
     if not found:
         raise IdxFormatError(f"IDX file not found: {path}")
-    data = found[0].read_bytes()
-    if found[0].suffix == ".gz":
-        try:
+    try:
+        data = found[0].read_bytes()
+        if found[0].suffix == ".gz":
             data = gzip.decompress(data)
-        except (EOFError, gzip.BadGzipFile, zlib.error) as err:  # a corrupt stream
-            raise IdxFormatError(f"corrupt gzip file {found[0]}: {err}") from err
+    except (EOFError, gzip.BadGzipFile, zlib.error) as err:  # a corrupt stream
+        raise IdxFormatError(f"corrupt gzip file {found[0]}: {err}") from err
+    except OSError as err:  # a directory, or a failing read
+        raise IdxFormatError(f"cannot read IDX file {found[0]}: {err.strerror}") from err
     header = 4 * (ndim + 1)
     if len(data) < header:
         raise IdxFormatError(f"short read in {path}: wanted {header} bytes, got {len(data)}")

@@ -32,7 +32,7 @@ from .data import Dataset, load_idx, synthetic_blobs
 from .metrics import MetricsRow, format_lambdas
 from .network import BETA_INIT, ETA_INIT, LAMBDA_INIT, Network, forward_inference, init_network
 from .neuron import LifConfig
-from .plasticity import SbpParams
+from .plasticity import MultiPathLayer, SbpParams
 from .window import backward, record_forward, softmax_xent
 
 LAMBDA_MODES = ("fixed", "learnable", "frozen-learned")
@@ -208,6 +208,8 @@ def load_config_file(path) -> TrainConfig:
         raw = json.loads(path.read_text())
     except json.JSONDecodeError as err:
         raise ConfigError(f"config file {path} is not valid JSON: {err}") from err
+    except OSError as err:  # a directory, or a failing read
+        raise ConfigError(f"cannot read config file {path}: {err.strerror}") from err
     if not isinstance(raw, dict):
         raise ConfigError(f"config file {path} must hold a JSON object")
     return TrainConfig.from_dict(raw)
@@ -443,7 +445,7 @@ def network_from_config(cfg: TrainConfig) -> Network:
     if cfg.lambda_mode == "frozen-learned":
         source = load_checkpoint(cfg.frozen_source)
         for idx, layer in enumerate(net.layers):
-            layer.lam = _entry(source, f"layers.{idx}.lam", (3,)).copy()
+            layer.lam = _entry(source, f"layers.{idx}.lam", (3,))
     return net
 
 
@@ -453,17 +455,20 @@ def _entry(ckpt: Checkpoint, name: str, shape: tuple | None = None) -> np.ndarra
     arr = ckpt.entries[name]
     if shape is not None and arr.shape != shape:
         raise CheckpointError(f"checkpoint entry {name!r} has shape {arr.shape}, expected {shape}")
-    return arr
+    return arr.copy()  # the caller's own array, never a view of the checkpoint
 
 
 def restore_network(cfg: TrainConfig, ckpt: Checkpoint) -> Network:
-    """Entries are looked up by name and copied into a freshly built
-    network. Others are ignored, such as the cached last Hebbian increment
-    per layer that earlier files carry."""
-    net = init_network(cfg.layer_sizes, cfg.seed, cfg.lif, cfg.sbp)
-    for name, arr in net.named_state().items():
-        arr[...] = _entry(ckpt, name, arr.shape)
-    return net
+    """The network is built from one copy of each entry, looked up by name
+    and shape-checked; no initialization is drawn. Other entries are ignored,
+    such as the cached last Hebbian increment per layer of earlier files."""
+    layers = []
+    for idx, w in enumerate(zip(cfg.layer_sizes[1:], cfg.layer_sizes[:-1])):
+        shapes = {"w1": w, "w2": w, "w3": w, "lam": (3,), "eta": (), "beta": ()}
+        layers.append(MultiPathLayer(**{key: _entry(ckpt, f"layers.{idx}.{key}", shape)
+                                        for key, shape in shapes.items()}))
+    return Network(layers, _entry(ckpt, "lambda_f", ()), _entry(ckpt, "lambda_p", ()),
+                   cfg.lif, cfg.sbp)
 
 
 def restore_adam(cfg: TrainConfig, ckpt: Checkpoint) -> Adam:

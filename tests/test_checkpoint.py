@@ -1,7 +1,11 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
+from mpsl import trainer
 from mpsl.checkpoint import (
     CheckpointError,
     config_hash_bytes,
@@ -80,6 +84,23 @@ def test_rejects_config_hash_tampering(tmp_path):
     path.write_bytes(bytes(data))
     with pytest.raises(CheckpointError, match="hash mismatch"):
         load_checkpoint(path)
+
+
+def test_declared_payload_larger_than_the_file_is_refused_before_allocating(tmp_path):
+    path = tmp_path / "huge.ckpt"
+    save_checkpoint(path, "{}", 0, make_rng(0).bit_generator.state, {"big": np.zeros(1)})
+    data = path.read_bytes()
+    dims = b"big" + struct.pack("<IQ", 1, 1)
+    assert data.count(dims) == 1
+    path.write_bytes(data.replace(dims, b"big" + struct.pack("<IQ", 1, 2**40)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CheckpointError, match="truncated"):
+            load_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_missing_file(tmp_path):
@@ -176,3 +197,34 @@ def test_saved_files_are_byte_identical_across_runs(tmp_path):
     save_checkpoint(a, '{"s":2}', 1, state, entries)
     save_checkpoint(b, '{"s":2}', 1, state, entries)
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_restore_holds_one_copy_of_each_array_and_draws_no_init(tmp_path, monkeypatch):
+    cfg = TrainConfig()
+    cfg.layer_sizes = [784, 256, 10]
+    cfg.blobs.dim, cfg.blobs.classes = 784, 10
+    cfg.validate()
+    net = network_from_config(cfg)
+    opt = Adam(cfg.lr)
+    params = net.named_parameters()
+    opt.step(params, {name: np.full_like(arr, 0.01) for name, arr in params.items()})
+    path = tmp_path / "desk.ckpt"
+    save_checkpoint(path, cfg.canonical_json(), 1, make_rng(1).bit_generator.state,
+                    checkpoint_entries(net, opt))
+
+    def no_init(*_args, **_kwargs):
+        raise AssertionError("restoring drew an initialization")
+
+    monkeypatch.setattr(trainer, "init_network", no_init)
+    tracemalloc.start()
+    try:
+        restored, _cfg, ckpt = trainer.network_from_checkpoint(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = (sum(arr.nbytes for arr in ckpt.entries.values())
+            + sum(arr.nbytes for arr in restored.named_state().values()))
+    assert peak <= 1.05 * held, peak / held
+    state = restored.named_state()
+    for name, arr in net.named_state().items():
+        npt.assert_array_equal(state[name], arr, err_msg=name)

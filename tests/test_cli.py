@@ -116,6 +116,20 @@ def test_missing_idx_file_exits_2_naming_the_path(tmp_path, capsys):
     assert str(tmp_path / "train-images-idx3-ubyte") in err and "not found" in err
 
 
+def test_config_path_that_is_a_directory_exits_2_naming_it(tmp_path, capsys):
+    assert main(["train", "--config", str(tmp_path)]) == 2
+    assert str(tmp_path) in capsys.readouterr().err
+
+
+def test_idx_path_that_is_a_directory_exits_2_naming_it(tmp_path, capsys):
+    images = tmp_path / "train-images-idx3-ubyte"
+    images.mkdir()
+    config = write_config(tmp_path, dataset="mnist", data_dir=str(tmp_path),
+                          layer_sizes=[784, 16, 10])
+    assert main(["train", "--config", str(config)]) == 2
+    assert str(images) in capsys.readouterr().err
+
+
 def write_idx_split(root, split, rng, n):
     """An IDX image/label pair of n random 28x28 items, named as in MNIST."""
     pixels = rng.integers(256, size=n * 784, dtype=np.uint8).tobytes()
@@ -213,6 +227,13 @@ def test_eval_checkpoint_storing_the_removed_switch_exits_2(trained, tmp_path, c
 def test_eval_missing_checkpoint_exits_2(tmp_path, capsys):
     assert main(["eval", "--checkpoint", str(tmp_path / "no.ckpt")]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+def test_eval_checkpoint_that_is_a_directory_exits_2_naming_it(tmp_path, capsys):
+    path = tmp_path / "model.ckpt"
+    path.mkdir()
+    assert main(["eval", "--checkpoint", str(path)]) == 2
+    assert str(path) in capsys.readouterr().err
 
 
 def test_robustness_sweep_contract(trained, tmp_path):
